@@ -1,6 +1,8 @@
 //! High-concurrency serving benchmark: mixed ingest/pull/scrape
 //! traffic against the multiplexed serving core, compared with the
-//! thread-per-connection baseline, at four-digit connection counts.
+//! blocking thread-per-connection reference runner
+//! ([`cais_bench::reference`]) serving the same TAXII service, at
+//! four-digit connection counts.
 //!
 //! The workload is **poll churn** — connect, pull one page, close —
 //! the shape real TAXII consumers have (HTTP-style polling), and the
@@ -16,7 +18,8 @@
 //! Three phases:
 //!
 //! 1. Poll churn at `connections` concurrent connections against the
-//!    thread-per-connection baseline (wall time for `polls` pulls).
+//!    thread-per-connection reference runner (wall time for `polls`
+//!    pulls).
 //! 2. The same churn against the multiplexed core, with per-poll
 //!    request→response latency recorded into the workspace's log₂
 //!    histograms (p50/p95/p99 reported).
@@ -41,6 +44,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use cais_bench::reference::serve_blocking;
 use cais_bench::report::{
     serve_bench_doc, ServeBenchMeasurement, SERVE_BAR_MIN_CONNECTIONS, SERVE_BAR_MIN_SPEEDUP,
 };
@@ -247,10 +251,10 @@ struct Fixture {
     collection: Uuid,
 }
 
-/// Child process: binds the thread-per-connection baseline, the
-/// multiplexed TAXII core and a telemetry scrape endpoint over one
-/// fixture server, prints their addresses as one JSON line, then parks
-/// until killed.
+/// Child process: serves one fixture TAXII server on the
+/// thread-per-connection reference runner and on the multiplexed core,
+/// plus a telemetry scrape endpoint, prints their addresses as one JSON
+/// line, then parks until killed.
 fn server_mode() {
     let mut server = TaxiiServer::new("loadgen fixture");
     let mut collection = Collection::new("iocs", "loadgen indicators");
@@ -272,9 +276,7 @@ fn server_mode() {
         max_park: Duration::from_micros(500),
         ..ServeConfig::default()
     };
-    let baseline = server
-        .serve_thread_per_conn("127.0.0.1:0")
-        .expect("bind baseline");
+    let baseline = serve_blocking("127.0.0.1:0", server.clone()).expect("bind baseline");
     let core = server
         .serve_on_core(
             "127.0.0.1:0",

@@ -301,6 +301,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "period must be positive")]
+    fn every_nth_rejects_a_zero_period() {
+        let _ = FaultPlan::new(0).every_nth("s", 0, FaultKind::Error);
+    }
+
+    #[test]
     fn rate_streams_are_deterministic_per_seed_and_site() {
         let run = |seed: u64| -> Vec<bool> {
             let plan = FaultPlan::new(seed).rate("s", 0.5, FaultKind::Error);

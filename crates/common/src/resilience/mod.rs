@@ -14,6 +14,9 @@
 //! - [`CircuitBreaker`] — per-source/per-peer closed → open → half-open
 //!   isolation with a probe-count cooldown, deterministic per call
 //!   sequence.
+//! - [`FaultService`] — a [`FaultPlan`] applied per inbound frame to
+//!   any service on the serving core ([`crate::serve`]), so chaos
+//!   tests fault the server code that ships.
 //! - [`Clock`] — an injectable time *reader* next to the [`Sleeper`]
 //!   time *waiter*: time-dependent logic (indicator decay, expiry
 //!   sweeps) reads a [`SystemClock`] in production and a manually
@@ -27,9 +30,11 @@
 mod breaker;
 mod clock;
 mod fault;
+mod fault_service;
 mod retry;
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerTransitions, CircuitBreaker};
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use fault::{mangle_payload, site_hash, FaultKind, FaultPlan};
+pub use fault_service::FaultService;
 pub use retry::{RecordingSleeper, RetryOutcome, RetryPolicy, Sleeper, StopToken, ThreadSleeper};

@@ -171,8 +171,8 @@ impl Payload {
 /// worker, so services just push.
 #[derive(Debug, Default)]
 pub struct Outbox {
-    items: Vec<(Option<TraceHeader>, Payload)>,
-    close: bool,
+    pub(crate) items: Vec<(Option<TraceHeader>, Payload)>,
+    pub(crate) close: bool,
 }
 
 impl Outbox {
@@ -193,20 +193,18 @@ impl Outbox {
         self.items.push((header, Payload::Owned(bytes)));
     }
 
-    /// Queues a shared payload, tagged with a [`TraceHeader`] when one
-    /// is given, without copying the payload.
-    pub fn push_shared_traced(&mut self, header: Option<TraceHeader>, bytes: Arc<Vec<u8>>) {
-        self.items.push((header, Payload::Shared(bytes)));
-    }
-
     /// Requests the connection be closed once queued frames flush.
     pub fn close(&mut self) {
         self.close = true;
     }
 
-    /// Frames queued so far in this call.
-    pub fn queued(&self) -> usize {
-        self.items.len()
+    /// Takes the queued frames and the close request, leaving the
+    /// outbox empty — for code that runs a service outside the core.
+    pub fn take(&mut self) -> (Vec<(Option<TraceHeader>, Payload)>, bool) {
+        (
+            std::mem::take(&mut self.items),
+            std::mem::take(&mut self.close),
+        )
     }
 }
 

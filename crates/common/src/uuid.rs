@@ -225,6 +225,26 @@ mod tests {
     }
 
     #[test]
+    fn v4_uuids_drawn_concurrently_are_distinct() {
+        let start = std::sync::Barrier::new(4);
+        let distinct: HashSet<Uuid> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..100_000).map(|_| Uuid::new_v4()).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let drawn = workers.into_iter();
+            drawn
+                .flat_map(|w| w.join().expect("uuid worker panicked"))
+                .collect()
+        });
+        assert_eq!(distinct.len(), 400_000);
+    }
+
+    #[test]
     fn display_format_is_canonical() {
         let u = Uuid([
             0x55, 0x0e, 0x84, 0x00, 0xe2, 0x9b, 0x41, 0xd4, 0xa7, 0x16, 0x44, 0x66, 0x55, 0x44,

@@ -720,15 +720,12 @@ mod tests {
         store
     }
 
-    #[allow(deprecated)]
+    /// The naive oracle: every event exported afresh, in id order.
     fn naive_pull(store: &MispStore, format: &str) -> String {
         let registry = ExportRegistry::with_builtins();
-        store
-            .all()
-            .iter()
-            .map(|event| registry.export(format, event).unwrap().unwrap())
-            .collect::<Vec<_>>()
-            .join("\n")
+        let mut documents = Vec::new();
+        store.for_each(|event| documents.push(registry.export(format, event).unwrap().unwrap()));
+        documents.join("\n")
     }
 
     #[test]

@@ -272,7 +272,8 @@ mod tests {
     use super::*;
     use crate::collection::Collection;
     use crate::server::TaxiiServer;
-    use cais_common::resilience::{FaultKind, FaultPlan, ThreadSleeper};
+    use cais_common::resilience::{FaultKind, FaultPlan, FaultService, ThreadSleeper};
+    use cais_common::serve::{self, NoServeMetrics, ServeConfig};
 
     fn fast() -> RetryPolicy {
         RetryPolicy::fast(5)
@@ -286,15 +287,23 @@ mod tests {
             collection: id,
             objects: (0..10).map(|i| serde_json::json!({ "i": i })).collect(),
         });
-        // Every third frame is dropped.
-        let plan = FaultPlan::new(11).every_nth("taxii.frame", 3, FaultKind::Error);
-        let addr = server
-            .serve_chaos("127.0.0.1:0", plan, "taxii.frame")
-            .unwrap();
-        let mut client = ResilientTaxiiClient::new(addr, fast(), BreakerConfig::disabled(), 42);
+        // Every second frame is dropped: the page request after
+        // discovery is lost once and must be retried.
+        let plan = FaultPlan::new(11).every_nth("taxii.frame", 2, FaultKind::Error);
+        let handle = serve::serve(
+            "127.0.0.1:0",
+            ServeConfig::default(),
+            FaultService::new(server.clone(), plan.clone(), "taxii.frame"),
+            NoServeMetrics,
+        )
+        .unwrap();
+        let mut client =
+            ResilientTaxiiClient::new(handle.local_addr(), fast(), BreakerConfig::disabled(), 42);
         assert_eq!(client.discovery(&ThreadSleeper).unwrap(), "chaos");
         let all = client.all_objects(&id, &ThreadSleeper).unwrap();
         assert_eq!(all.len(), 10);
+        assert!(plan.injected("taxii.frame") > 0, "no frame was dropped");
+        handle.shutdown();
     }
 
     #[test]

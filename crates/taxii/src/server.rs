@@ -1,4 +1,4 @@
-//! The TAXII server: collection storage plus the TCP accept loop.
+//! The TAXII server: collection storage served over framed TCP.
 //!
 //! Pull-heavy federations re-request the same pages over and over; the
 //! server therefore keeps a bounded byte cache of serialized
@@ -9,14 +9,11 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
 
-use cais_bus::tcp::{read_frame, write_frame};
-use cais_common::frame::{read_frame_traced, TraceHeader};
-use cais_common::resilience::{FaultKind, FaultPlan};
+use cais_common::frame::TraceHeader;
 use cais_common::serve::{
     self, FrameService, NoServeMetrics, Outbox, ServeConfig, ServeHandle, ServeMetrics,
 };
@@ -388,162 +385,17 @@ impl TaxiiServer {
         config: ServeConfig,
         metrics: M,
     ) -> io::Result<ServeHandle> {
-        serve::serve(
-            addr,
-            config,
-            TaxiiService {
-                server: self.clone(),
-            },
-            metrics,
-        )
-    }
-
-    /// The historical thread-per-connection accept loop, kept as the
-    /// measured baseline for the multiplexed core (`cais-loadgen`
-    /// compares the two) and for the serving-equivalence tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error when the address is unavailable.
-    pub fn serve_thread_per_conn(&self, addr: &str) -> io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let server = self.clone();
-        thread::Builder::new()
-            .name("cais-taxii-server".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    let Ok(stream) = stream else { continue };
-                    let server = server.clone();
-                    let _ =
-                        thread::Builder::new()
-                            .name("cais-taxii-conn".into())
-                            .spawn(move || {
-                                let _ = server.serve_connection(stream);
-                            });
-                }
-            })
-            .expect("spawn taxii server thread");
-        Ok(local_addr)
-    }
-
-    fn serve_connection(&self, mut stream: TcpStream) -> io::Result<()> {
-        loop {
-            // Traced clients tag their request frames with a trace
-            // header; untagged frames from pre-trace peers decode with
-            // `None` and the request roots a fresh trace.
-            let (header, frame) = read_frame_traced(&mut stream)?;
-            let wire = header.map(TraceContext::from_header);
-            let bytes = self.response_bytes(&frame, wire)?;
-            write_frame(&mut stream, &bytes)?;
-        }
-    }
-
-    /// Like [`TaxiiServer::serve`], but every request frame consults
-    /// `plan` at `site` first — the chaos harness:
-    ///
-    /// - [`FaultKind::Error`] — the connection is dropped without a
-    ///   response (the frame is lost; the request is *not* applied).
-    /// - [`FaultKind::AckLost`] — the request **is** applied, then the
-    ///   connection drops before the response: the client observes an
-    ///   error even though the effect landed. Exercises idempotent
-    ///   re-delivery.
-    /// - [`FaultKind::Garbage`] — an unparseable response frame.
-    /// - [`FaultKind::Truncate`] — the response frame carries only the
-    ///   first half of the serialized response.
-    /// - [`FaultKind::Replay`] — the previous response on this
-    ///   connection is resent instead of the current one.
-    /// - [`FaultKind::Delay`] — virtual; the response is served
-    ///   normally (the server has no injected clock).
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error when the address is unavailable.
-    pub fn serve_chaos(
-        &self,
-        addr: &str,
-        plan: FaultPlan,
-        site: impl Into<String>,
-    ) -> io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let server = self.clone();
-        let site = site.into();
-        thread::Builder::new()
-            .name("cais-taxii-chaos".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    let Ok(stream) = stream else { continue };
-                    let server = server.clone();
-                    let plan = plan.clone();
-                    let site = site.clone();
-                    let _ = thread::Builder::new()
-                        .name("cais-taxii-chaos-conn".into())
-                        .spawn(move || {
-                            let _ = server.serve_connection_chaos(stream, &plan, &site);
-                        });
-                }
-            })
-            .expect("spawn chaos taxii server thread");
-        Ok(local_addr)
-    }
-
-    fn serve_connection_chaos(
-        &self,
-        mut stream: TcpStream,
-        plan: &FaultPlan,
-        site: &str,
-    ) -> io::Result<()> {
-        let mut previous: Option<Arc<Vec<u8>>> = None;
-        loop {
-            let frame = read_frame(&mut stream)?;
-            let fault = plan.next(site);
-            match fault {
-                Some(FaultKind::Error) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionReset,
-                        "injected frame drop",
-                    ));
-                }
-                Some(FaultKind::AckLost) => {
-                    if let Ok(request) = serde_json::from_slice::<Request>(&frame) {
-                        let _ = self.handle(request);
-                    }
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionReset,
-                        "injected ack loss",
-                    ));
-                }
-                Some(FaultKind::Garbage) => {
-                    write_frame(&mut stream, b"\x01\x02%%% injected garbage %%%\x03")?;
-                }
-                Some(FaultKind::Truncate) => {
-                    let bytes = self.response_bytes(&frame, None)?;
-                    write_frame(&mut stream, &bytes[..bytes.len() / 2])?;
-                }
-                Some(FaultKind::Replay) if previous.is_some() => {
-                    let bytes = previous.clone().expect("checked above");
-                    write_frame(&mut stream, &bytes)?;
-                }
-                Some(FaultKind::Replay) | Some(FaultKind::Delay(_)) | None => {
-                    let bytes = self.response_bytes(&frame, None)?;
-                    write_frame(&mut stream, &bytes)?;
-                    previous = Some(bytes);
-                }
-            }
-        }
+        serve::serve(addr, config, self.clone(), metrics)
     }
 }
 
-/// The TAXII request/response protocol as a [`FrameService`]: each
-/// inbound frame is one request, each reply is the (possibly
-/// page-cached) serialized response, written untagged exactly as the
-/// thread-per-connection loop always has.
-struct TaxiiService {
-    server: TaxiiServer,
-}
-
-impl FrameService for TaxiiService {
+/// The TAXII request/response protocol: each inbound frame is one
+/// request, each reply is the (possibly page-cached) serialized
+/// response, written untagged. A clone of the server is the service,
+/// so it can also be served wrapped — e.g. in
+/// [`cais_common::resilience::FaultService`] for chaos runs — or on
+/// another runner.
+impl FrameService for TaxiiServer {
     type Conn = ();
 
     fn on_connect(&self, _peer: SocketAddr) -> Self::Conn {}
@@ -556,7 +408,7 @@ impl FrameService for TaxiiService {
         out: &mut Outbox,
     ) {
         let wire = header.map(TraceContext::from_header);
-        match self.server.response_bytes(&payload, wire) {
+        match self.response_bytes(&payload, wire) {
             // Cached pages are an `Arc` already — queue them zero-copy.
             Ok(bytes) => out.push_shared(bytes),
             Err(_) => out.close(),

@@ -23,9 +23,8 @@
 //! connection stays open, so a curious `nc` probe can't wedge the
 //! endpoint.
 
-use std::io::{self};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::thread;
+use std::io;
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use cais_common::frame::{read_frame, write_frame, TraceHeader};
@@ -99,25 +98,10 @@ impl TelemetryServer {
         serve::serve(addr, config, ScrapeService { registry, tracer }, metrics)
     }
 
-    /// The historical thread-per-connection accept loop, kept as the
-    /// measured baseline for the multiplexed core and for the
-    /// serving-equivalence tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error when the address is unavailable.
-    pub fn bind_thread_per_conn(
-        registry: Registry,
-        tracer: Option<Tracer>,
-        addr: &str,
-    ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        thread::Builder::new()
-            .name("cais-telemetry-server".into())
-            .spawn(move || accept_loop(listener, registry, tracer))
-            .expect("spawn telemetry server thread");
-        Ok(TelemetryServer { local_addr })
+    /// The scrape protocol over `registry` (and `tracer`) as a
+    /// [`FrameService`], for serving it on another runner.
+    pub fn service(registry: Registry, tracer: Option<Tracer>) -> impl FrameService {
+        ScrapeService { registry, tracer }
     }
 
     /// The address the server is listening on (useful with port 0).
@@ -134,24 +118,8 @@ impl std::fmt::Debug for TelemetryServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, registry: Registry, tracer: Option<Tracer>) {
-    for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
-        let registry = registry.clone();
-        let tracer = tracer.clone();
-        let _ = thread::Builder::new()
-            .name("cais-telemetry-conn".into())
-            .spawn(move || {
-                let _ = serve_client(stream, &registry, tracer.as_ref());
-            });
-    }
-}
-
 /// One scrape exchange: the response frame for one command frame, or an
 /// error when the frame is not a JSON string (the connection closes).
-/// Both serving paths (the multiplexed core and the thread-per-conn
-/// baseline) call this, so their responses are identical by
-/// construction.
 fn respond(frame: &[u8], registry: &Registry, tracer: Option<&Tracer>) -> io::Result<Vec<u8>> {
     let command: String =
         serde_json::from_slice(frame).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
@@ -181,22 +149,9 @@ fn respond(frame: &[u8], registry: &Registry, tracer: Option<&Tracer>) -> io::Re
     })
 }
 
-fn serve_client(
-    mut stream: TcpStream,
-    registry: &Registry,
-    tracer: Option<&Tracer>,
-) -> io::Result<()> {
-    loop {
-        let frame = read_frame(&mut stream)?;
-        let response = respond(&frame, registry, tracer)?;
-        write_frame(&mut stream, &response)?;
-    }
-}
-
 /// The scrape protocol as a [`FrameService`]: strict request/response;
-/// an unparseable command frame closes the connection (exactly as the
-/// baseline loop's error return did), an unknown command answers with
-/// a JSON error and the connection survives.
+/// an unparseable command frame closes the connection, an unknown
+/// command answers with a JSON error and the connection survives.
 struct ScrapeService {
     registry: Registry,
     tracer: Option<Tracer>,

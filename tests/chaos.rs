@@ -10,9 +10,10 @@ use std::io;
 use std::sync::Arc;
 
 use cais::common::resilience::{
-    BreakerConfig, Clock, FaultKind, FaultPlan, RecordingSleeper, RetryPolicy, ThreadSleeper,
-    VirtualClock,
+    BreakerConfig, Clock, FaultKind, FaultPlan, FaultService, RecordingSleeper, RetryPolicy,
+    ThreadSleeper, VirtualClock,
 };
+use cais::common::serve::{self, NoServeMetrics, ServeConfig};
 use cais::common::time::MILLIS_PER_DAY;
 use cais::common::Timestamp;
 use cais::decay::{BaseScorer, DecayEngine, DecayModel, RescoredEvent, SweepSummary};
@@ -54,9 +55,14 @@ fn taxii_client_converges_against_a_frame_dropping_server() {
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
     let plan = FaultPlan::new(seed).every_nth("taxii.frame", 3, FaultKind::Error);
-    let addr = server
-        .serve_chaos("127.0.0.1:0", plan.clone(), "taxii.frame")
-        .expect("bind chaos server");
+    let handle = serve::serve(
+        "127.0.0.1:0",
+        ServeConfig::default(),
+        FaultService::new(server.clone(), plan.clone(), "taxii.frame"),
+        NoServeMetrics,
+    )
+    .expect("bind chaos server");
+    let addr = handle.local_addr();
 
     let registry = Registry::new();
     let mut client =
@@ -76,6 +82,7 @@ fn taxii_client_converges_against_a_frame_dropping_server() {
     let counters = registry.snapshot().counters;
     assert!(counters["taxii_retries_total"] > 0, "seed {seed}");
     assert!(plan.total_injected() > 0, "seed {seed}");
+    handle.shutdown();
 }
 
 /// Resilient MISP push against scheduled ack loss: the transfer

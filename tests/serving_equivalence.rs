@@ -1,9 +1,9 @@
 //! Proof that the multiplexed serving core answers **byte-identically**
-//! to the historical thread-per-connection servers it replaced.
+//! to the thread-per-connection reference runner in `cais_bench`.
 //!
 //! Each suite serves the *same* state (one `TaxiiServer`, one frozen
-//! `Registry`, one `Broker`) on both implementations at once and
-//! compares raw response frames for the same request sequence —
+//! `Registry`, one `Broker`) through one service on both runners at
+//! once and compares raw response frames for the same request sequence —
 //! including the `TRACE_FLAG` tagged-frame path, error responses and
 //! the bus handshake/stream. Any divergence in framing, ordering or
 //! serialization fails the diff, not a lossy JSON comparison.
@@ -18,6 +18,7 @@ use cais::common::frame::{read_frame, write_frame, write_frame_traced, TraceHead
 use cais::common::serve::{NoServeMetrics, ServeConfig};
 use cais::taxii::{Collection, TaxiiServer};
 use cais::telemetry::{labeled, Registry, TelemetryServer, Tracer};
+use cais_bench::reference::serve_blocking;
 
 /// One request/response exchange against `addr`; returns the raw
 /// response frame.
@@ -49,9 +50,7 @@ fn taxii_responses_match_thread_per_conn_baseline() {
     let mut server = TaxiiServer::new("equivalence fixture");
     let readable = server.add_collection(Collection::new("iocs", "indicators"));
     let readonly = server.add_collection(Collection::new("ro", "read only").read_only());
-    let baseline = server
-        .serve_thread_per_conn("127.0.0.1:0")
-        .expect("baseline");
+    let baseline = serve_blocking("127.0.0.1:0", server.clone()).expect("baseline");
     let core = server
         .serve_on_core("127.0.0.1:0", ServeConfig::default(), NoServeMetrics)
         .expect("core");
@@ -139,10 +138,9 @@ fn telemetry_scrapes_match_thread_per_conn_baseline() {
         let root = tracer.root("ingress", "feed_poll");
         let _child = tracer.child(root.context(), "pipeline", "ingest_round");
     }
-    let baseline = TelemetryServer::bind_thread_per_conn(
-        registry.clone(),
-        Some(tracer.clone()),
+    let baseline = serve_blocking(
         "127.0.0.1:0",
+        TelemetryServer::service(registry.clone(), Some(tracer.clone())),
     )
     .expect("baseline");
     let core = TelemetryServer::bind_on_core(
@@ -156,25 +154,13 @@ fn telemetry_scrapes_match_thread_per_conn_baseline() {
 
     for command in ["prometheus", "json", "trace", "trace_chrome", "trace_jsonl"] {
         let request = serde_json::to_vec(command).unwrap();
-        assert_equivalent(
-            baseline.local_addr(),
-            core.local_addr(),
-            &request,
-            None,
-            command,
-        );
+        assert_equivalent(baseline, core.local_addr(), &request, None, command);
     }
     // Unknown commands answer a JSON error frame on both.
     let bogus = serde_json::to_vec("bogus").unwrap();
-    assert_equivalent(
-        baseline.local_addr(),
-        core.local_addr(),
-        &bogus,
-        None,
-        "unknown command",
-    );
+    assert_equivalent(baseline, core.local_addr(), &bogus, None, "unknown command");
     // A non-JSON command frame closes both connections without a reply.
-    for addr in [baseline.local_addr(), core.local_addr()] {
+    for addr in [baseline, core.local_addr()] {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -204,9 +190,11 @@ fn read_messages(stream: &mut TcpStream, count: usize) -> Vec<Vec<u8>> {
 #[test]
 fn bus_stream_matches_thread_per_conn_baseline() {
     let broker = Broker::new();
-    let baseline =
-        BusServer::bind_thread_per_conn(broker.clone(), "127.0.0.1:0", BusServerOptions::default())
-            .expect("baseline");
+    let baseline = serve_blocking(
+        "127.0.0.1:0",
+        BusServer::service(broker.clone(), BusServerOptions::default()),
+    )
+    .expect("baseline");
     let (_core_server, core) = BusServer::bind_on_core(
         broker.clone(),
         "127.0.0.1:0",
@@ -226,7 +214,7 @@ fn bus_stream_matches_thread_per_conn_baseline() {
         assert!(ack.is_empty(), "handshake ack must be an empty frame");
         stream
     };
-    let mut baseline_client = connect(baseline.local_addr());
+    let mut baseline_client = connect(baseline);
     let mut core_client = connect(core.local_addr());
     // Both subscriptions are registered (ack received), so both see
     // every publish from here on.
