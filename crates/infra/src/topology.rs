@@ -4,6 +4,8 @@
 //! infrastructure topology" (Section III-C1); this module is the graph
 //! it renders.
 
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::inventory::{Inventory, NodeId};
@@ -55,22 +57,46 @@ impl Topology {
     /// assert_eq!(topology.links().len(), 6);
     /// ```
     pub fn from_inventory(inventory: &Inventory) -> Self {
-        let mut topology = Topology::new();
         let nodes: Vec<_> = inventory.nodes().collect();
-        for (i, a) in nodes.iter().enumerate() {
-            for b in nodes.iter().skip(i + 1) {
-                let shared = a.networks.iter().find(|n| b.networks.contains(n));
-                if let Some(network) = shared {
-                    let kind = if network.eq_ignore_ascii_case("wan") {
-                        LinkKind::Wan
-                    } else {
-                        LinkKind::Lan
-                    };
-                    topology.add_link(a.id, b.id, kind);
-                }
+        // Each network's members in inventory order, so that only nodes
+        // sharing a network are ever paired.
+        let mut members: HashMap<&str, Vec<usize>> = HashMap::new();
+        for (i, node) in nodes.iter().enumerate() {
+            for network in &node.networks {
+                members.entry(network).or_default().push(i);
             }
         }
-        topology
+        let mut links = Vec::new();
+        for (i, a) in nodes.iter().enumerate() {
+            let mut peers: Vec<usize> = a
+                .networks
+                .iter()
+                .flat_map(|network| &members[network.as_str()])
+                .copied()
+                .filter(|&j| j > i)
+                .collect();
+            peers.sort_unstable();
+            peers.dedup();
+            for b in peers.into_iter().map(|j| nodes[j]) {
+                let network = a
+                    .networks
+                    .iter()
+                    .find(|n| b.networks.contains(n))
+                    .expect("paired nodes share a network");
+                let kind = if network.eq_ignore_ascii_case("wan") {
+                    LinkKind::Wan
+                } else {
+                    LinkKind::Lan
+                };
+                // Inventory ids are unique, so each pair is a new link.
+                links.push(Link {
+                    a: a.id,
+                    b: b.id,
+                    kind,
+                });
+            }
+        }
+        Topology { links }
     }
 
     /// Adds a link (idempotent; `a`/`b` order does not matter).
@@ -117,7 +143,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inventory::Inventory;
+    use crate::inventory::{Inventory, NodeType};
 
     #[test]
     fn clique_from_shared_lan() {
@@ -134,6 +160,41 @@ mod tests {
         t.add_link(NodeId(2), NodeId(1), LinkKind::Lan);
         t.add_link(NodeId(1), NodeId(1), LinkKind::Lan);
         assert_eq!(t.links().len(), 1);
+    }
+
+    #[test]
+    fn links_match_a_scan_of_every_pair() {
+        let mut builder = Inventory::builder();
+        for i in 0..60 {
+            let mut node = builder.node(format!("n{i}"), NodeType::Server, "linux");
+            if i % 11 != 0 {
+                node.network(format!("lan-{}", i % 5));
+            }
+            if i % 3 == 0 {
+                node.network(if i % 2 == 0 { "WAN" } else { "wan" });
+            }
+            if i % 7 == 0 {
+                node.network("dmz").network(format!("lan-{}", i % 5));
+            }
+        }
+        let inventory = builder.build();
+
+        let mut oracle = Topology::new();
+        let nodes: Vec<_> = inventory.nodes().collect();
+        for (i, a) in nodes.iter().enumerate() {
+            for b in &nodes[i + 1..] {
+                if let Some(network) = a.networks.iter().find(|n| b.networks.contains(n)) {
+                    let kind = if network.eq_ignore_ascii_case("wan") {
+                        LinkKind::Wan
+                    } else {
+                        LinkKind::Lan
+                    };
+                    oracle.add_link(a.id, b.id, kind);
+                }
+            }
+        }
+        assert!(oracle.links().iter().any(|l| l.kind == LinkKind::Wan));
+        assert_eq!(Topology::from_inventory(&inventory), oracle);
     }
 
     #[test]

@@ -504,3 +504,63 @@ proptest! {
         prop_assert_eq!(serial_counters, parallel_counters, "workers={}", workers);
     }
 }
+
+/// Maps one raw draw to a char of one of the classes the JSON string
+/// decoder treats differently: printable ASCII, `"` and `\`, control
+/// characters, and 2-, 3- and 4-byte (astral) UTF-8. Draws that land on
+/// a surrogate code point yield `None`.
+fn wire_char(raw: u32) -> Option<char> {
+    let pick = raw / 6;
+    char::from_u32(match raw % 6 {
+        0 => 0x20 + pick % 0x60,
+        1 => [u32::from('"'), u32::from('\\')][(pick % 2) as usize],
+        2 => pick % 0x20,
+        3 => 0x80 + pick % 0x780,
+        4 => 0x800 + pick % 0xF800,
+        _ => 0x1_0000 + pick % 0x10_0000,
+    })
+}
+
+/// `text` as a JSON string literal in which every char is a `\uXXXX`
+/// escape, astral chars as surrogate pairs; hex case alternates.
+fn all_escaped(text: &str) -> String {
+    let mut out = String::from("\"");
+    for (i, c) in text.chars().enumerate() {
+        let mut units = [0u16; 2];
+        for unit in c.encode_utf16(&mut units) {
+            if i % 2 == 0 {
+                out.push_str(&format!("\\u{unit:04x}"));
+            } else {
+                out.push_str(&format!("\\u{unit:04X}"));
+            }
+        }
+    }
+    out.push('"');
+    out
+}
+
+proptest! {
+    /// The JSON codec round-trips any string, alone and nested in an
+    /// object (as key and value) and an array, and hand-written
+    /// `\uXXXX` escapes of the same text decode to the same value.
+    #[test]
+    fn json_strings_round_trip(raw in prop::collection::vec(any::<u32>(), 0..48)) {
+        use serde_json::{Map, Value};
+
+        let text: String = raw.into_iter().filter_map(wire_char).collect();
+        let string = Value::String(text.clone());
+        let mut map = Map::new();
+        map.insert(text.clone(), string.clone());
+        map.insert("k", Value::Array(vec![string.clone(), Value::Null, string.clone()]));
+        let object = Value::Object(map);
+        let array = Value::Array(vec![object.clone(), string.clone()]);
+
+        for value in [&string, &object, &array] {
+            let wire = serde_json::to_string(value).unwrap();
+            let back: Value = serde_json::from_str(&wire).unwrap();
+            prop_assert_eq!(&back, value, "wire {}", wire);
+        }
+        let escaped: Value = serde_json::from_str(&all_escaped(&text)).unwrap();
+        prop_assert_eq!(&escaped, &string);
+    }
+}
