@@ -1,10 +1,13 @@
 //! Machine-readable decay benchmark: a 1M-event store rescored through
 //! the [`DecayEngine`] incremental path (version-gated base reuse)
 //! against the from-scratch rescore that re-derives every taxonomy
-//! base, with 1% churn and a seeded sighting stream between passes.
+//! base, with 1% churn and a seeded sighting stream between passes,
+//! then swept for expiry the way the platform's sweep loop does.
 //! Exact score equivalence of the two paths is asserted — a mismatch
-//! aborts the run, which fails CI — as is the ≥5× incremental speedup
-//! bar. Writes `BENCH_decay.json` for trend tracking.
+//! aborts the run, which fails CI — as are the ≥5× incremental speedup
+//! bar and, after the last sweep, every stored decay state matching
+//! the from-scratch verdict. Writes `BENCH_decay.json` for trend
+//! tracking.
 //!
 //! ```text
 //! cargo run --release -p cais-bench --bin decay_json             # writes BENCH_decay.json
@@ -20,7 +23,7 @@ use cais_bench::workloads;
 use cais_common::resilience::VirtualClock;
 use cais_common::time::MILLIS_PER_DAY;
 use cais_common::Timestamp;
-use cais_decay::{BaseScorer, DecayEngine, DecayModel};
+use cais_decay::{is_marked_expired, BaseScorer, DecayEngine, DecayModel};
 use cais_misp::MispStore;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -102,6 +105,34 @@ fn main() {
         "incremental rescore diverges from the from-scratch oracle"
     );
 
+    // Expiry sweeps over the same store. The first writes every flip
+    // due so far; then each day's sweep after 1% churn is the steady
+    // state the sweep loop pays — sync, the dense walk, and the flips
+    // of events that crossed the threshold since. Best observed time.
+    let settled = engine.sweep(&store).expect("sweep");
+    let mut sweep_nanos = u64::MAX;
+    let mut last_sweep = settled;
+    for round in 1..passes {
+        workloads::churn_events(&store, CHURN_FRACTION, (passes + round) as u64);
+        clock.advance_days(1);
+        let started = Instant::now();
+        let summary = engine.sweep(&store).expect("sweep");
+        sweep_nanos = sweep_nanos.min(started.elapsed().as_nanos() as u64);
+        last_sweep = summary;
+    }
+    let mut stored = Vec::with_capacity(events);
+    store.for_each(|event| stored.push(is_marked_expired(event)));
+    let verdicts: Vec<bool> = engine
+        .score_from_scratch(&store)
+        .iter()
+        .map(|scored| scored.expired)
+        .collect();
+    let sweep_states_match = stored == verdicts;
+    assert!(
+        sweep_states_match,
+        "stored decay states diverge from the from-scratch verdicts after a sweep"
+    );
+
     let m = DecayBenchMeasurement {
         events,
         churned,
@@ -113,17 +144,26 @@ fn main() {
         reused: last_summary.reused,
         expired: last_summary.expired,
         equivalent,
+        sweep_nanos,
+        sweep_rebased: last_sweep.rescore.rebased,
+        sweep_flipped_expired: last_sweep.flipped_expired,
+        sweep_flipped_active: last_sweep.flipped_active,
+        sweep_states_match,
     };
     eprintln!(
         "decay_json: {events} events, {churned} churned, {sightings} sightings -> \
          full {:.1}ms, cold {:.1}ms, incremental {:.1}ms, speedup {:.1}x \
-         ({:.0} events/s, {} expired)",
+         ({:.0} events/s, {} expired); sweep {:.1}ms ({} rebased, {} expired, {} revived)",
         m.full_nanos as f64 / 1e6,
         m.cold_nanos as f64 / 1e6,
         m.incremental_nanos as f64 / 1e6,
         m.speedup(),
         m.incremental_events_per_sec(),
         m.expired,
+        m.sweep_nanos as f64 / 1e6,
+        m.sweep_rebased,
+        m.sweep_flipped_expired,
+        m.sweep_flipped_active,
     );
     assert!(
         m.speedup() >= 5.0,

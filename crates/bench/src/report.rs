@@ -654,6 +654,18 @@ pub struct DecayBenchMeasurement {
     pub expired: usize,
     /// Whether incremental and from-scratch scores matched exactly.
     pub equivalent: bool,
+    /// Best wall time among steady-state sweeps after churn.
+    pub sweep_nanos: u64,
+    /// Events whose base was re-derived in the last sweep: the churn
+    /// plus the previous sweep's flips.
+    pub sweep_rebased: usize,
+    /// Events the last sweep newly marked expired.
+    pub sweep_flipped_expired: usize,
+    /// Events the last sweep revived.
+    pub sweep_flipped_active: usize,
+    /// Whether every stored decay state matched the from-scratch
+    /// verdict after the last sweep.
+    pub sweep_states_match: bool,
 }
 
 impl DecayBenchMeasurement {
@@ -670,7 +682,8 @@ impl DecayBenchMeasurement {
 
 /// The committed `BENCH_decay.json` schema: workload shape, the
 /// from-scratch baseline, the cold and post-churn incremental passes,
-/// the derived speedup and the equivalence verdict. CI uploads this as
+/// the steady-state expiry sweep, the derived speedup and the
+/// equivalence verdicts. CI uploads this as
 /// an artifact next to the other `BENCH_*.json` files.
 pub fn decay_bench_doc(m: &DecayBenchMeasurement) -> serde_json::Value {
     serde_json::json!({
@@ -688,9 +701,18 @@ pub fn decay_bench_doc(m: &DecayBenchMeasurement) -> serde_json::Value {
             "rebased": m.rebased,
             "reused": m.reused,
         },
+        "sweep": {
+            "wall_nanos": m.sweep_nanos,
+            "rebased": m.sweep_rebased,
+            "flipped_expired": m.sweep_flipped_expired,
+            "flipped_active": m.sweep_flipped_active,
+        },
         "expired": m.expired,
         "speedup": m.speedup(),
-        "equivalence": { "incremental_matches_full": m.equivalent },
+        "equivalence": {
+            "incremental_matches_full": m.equivalent,
+            "sweep_states_match_full": m.sweep_states_match,
+        },
     })
 }
 
@@ -1211,12 +1233,20 @@ mod tests {
             reused: 990_000,
             expired: 123_456,
             equivalent: true,
+            sweep_nanos: 90_000_000,
+            sweep_rebased: 12_000,
+            sweep_flipped_expired: 2_000,
+            sweep_flipped_active: 10,
+            sweep_states_match: true,
         };
         let doc = decay_bench_doc(&m);
         assert_eq!(doc["benchmark"], "decay_json");
         assert_eq!(doc["workload"]["events"], 1_000_000);
         assert_eq!(doc["incremental"]["rebased"], 10_000);
         assert_eq!(doc["equivalence"]["incremental_matches_full"], true);
+        assert_eq!(doc["equivalence"]["sweep_states_match_full"], true);
+        assert_eq!(doc["sweep"]["wall_nanos"], 90_000_000);
+        assert_eq!(doc["sweep"]["flipped_expired"], 2_000);
         // 800 ms full vs 80 ms incremental → 10×.
         assert!((doc["speedup"].as_f64().unwrap() - 10.0).abs() < 1e-9);
         assert!(doc["incremental"]["events_per_sec"].as_f64().unwrap() > 0.0);

@@ -1,16 +1,18 @@
 //! The lifecycle engine: incremental rescoring and expiry sweeps.
 //!
-//! [`DecayEngine`] keeps a dense per-indicator entry `{base, anchor}`
-//! and consumes the store's mutation changelog (PR 5 generation
-//! counter, extended here with per-generation event ids): a rescore
-//! pass asks the store which events moved since the last pass,
-//! re-derives the taxonomy base only for those, then decays every
-//! tracked indicator in one linear walk — no store lock, no hashmap
-//! probe, no tag parsing for the unchanged majority. The
-//! from-scratch path ([`DecayEngine::score_from_scratch`]) re-derives
-//! every base and serves both as the benchmark baseline and as the
-//! property-test oracle: for any interleaving of sightings, churn and
-//! sweeps the two must agree bit for bit.
+//! [`DecayEngine`] keeps a dense per-indicator entry `{base, anchor,
+//! marked_expired}` and consumes the store's mutation changelog (PR 5
+//! generation counter, extended here with per-generation event ids): a
+//! rescore pass asks the store which events moved since the last pass,
+//! re-derives the entry only for those, then decays every tracked
+//! indicator in one linear walk — no store lock, no hashmap probe, no
+//! tag parsing for the unchanged majority. An expiry sweep is the same
+//! walk, comparing each verdict with the entry's cached expiry mark, so
+//! beyond the changelog sync it touches the store only to write flips.
+//! The from-scratch path ([`DecayEngine::score_from_scratch`])
+//! re-derives every base and serves both as the benchmark baseline and
+//! as the property-test oracle: for any interleaving of sightings,
+//! churn and sweeps the two must agree bit for bit.
 //!
 //! Time comes from an injected [`Clock`], so tests and benches drive a
 //! [`VirtualClock`](cais_common::resilience::VirtualClock) while
@@ -82,9 +84,10 @@ pub struct SweepSummary {
     pub flipped_active: usize,
 }
 
-/// One tracked indicator: everything the score pass needs, packed
-/// densely so the steady-state rescore is a linear walk over this
-/// vector — no store lock, no hashmap, no tag parsing.
+/// One tracked indicator: everything the score pass and the sweep
+/// need, packed densely so the steady-state rescore and sweep are a
+/// linear walk over this vector — no store lock, no hashmap, no tag
+/// parsing.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     event_id: u64,
@@ -95,6 +98,12 @@ struct Entry {
     /// and rebase both rewrite it — so the score pass never touches
     /// the ledger.
     anchor: Timestamp,
+    /// Whether the stored event carries `cais:decay-state="expired"`.
+    /// Every store write lands in the changelog, so the sync that
+    /// rebases a moved event re-reads it — sweep flips and outside
+    /// writes (a federation merge) alike — and it is exact whenever
+    /// the cached `base` is.
+    marked_expired: bool,
 }
 
 #[derive(Default)]
@@ -104,9 +113,10 @@ struct EngineState {
     by_id: HashMap<u64, usize>,
     by_uuid: HashMap<Uuid, usize>,
     ledger: SightingLedger,
-    /// Store generation as of the last sync, `None` before the first
-    /// pass (or for a store this engine has never seen).
-    synced_generation: Option<u64>,
+    /// `(store instance id, store generation)` as of the last sync,
+    /// `None` before the first pass. A different store never matches,
+    /// whatever its generation.
+    synced: Option<(u64, u64)>,
 }
 
 impl EngineState {
@@ -220,6 +230,17 @@ impl DecayEngine {
         ledger.last_seen(&event.uuid).unwrap_or(event.date)
     }
 
+    /// A tracked entry derived afresh from the stored event.
+    fn entry(&self, ledger: &SightingLedger, event: &MispEvent) -> Entry {
+        Entry {
+            event_id: event.id,
+            uuid: event.uuid,
+            base: self.scorer.base_score(event),
+            anchor: DecayEngine::anchor(ledger, event),
+            marked_expired: is_marked_expired(event),
+        }
+    }
+
     fn decayed(&self, base: f64, anchor: Timestamp, now: Timestamp) -> f64 {
         let elapsed_days = now.millis_since(anchor).max(0) as f64 / MILLIS_PER_DAY as f64;
         self.model.score_at(base, elapsed_days)
@@ -231,11 +252,12 @@ impl DecayEngine {
     /// (first pass, or a store this engine has never synced). Returns
     /// how many bases were re-derived.
     fn sync(&self, state: &mut EngineState, store: &MispStore) -> usize {
+        let instance = store.instance_id();
         let generation = store.generation();
-        let changed = match state.synced_generation {
-            Some(last) if last == generation => Some(Vec::new()),
-            Some(last) => store.changed_event_ids_since(last),
-            None => None,
+        let changed = match state.synced {
+            Some(last) if last == (instance, generation) => Some(Vec::new()),
+            Some((seen, last)) if seen == instance => store.changed_event_ids_since(last),
+            _ => None,
         };
         let rebased = match changed {
             Some(ids) => {
@@ -254,13 +276,7 @@ impl DecayEngine {
                         }
                         continue;
                     };
-                    let event = &versioned.event;
-                    let entry = Entry {
-                        event_id: id,
-                        uuid: event.uuid,
-                        base: self.scorer.base_score(event),
-                        anchor: DecayEngine::anchor(&state.ledger, event),
-                    };
+                    let entry = self.entry(&state.ledger, &versioned.event);
                     rebased += 1;
                     if let Some(&idx) = state.by_id.get(&id) {
                         state.entries[idx] = entry;
@@ -282,12 +298,8 @@ impl DecayEngine {
                 // Cold pass or unknown store: rebuild everything.
                 state.entries.clear();
                 store.for_each_versioned(|event, _version| {
-                    state.entries.push(Entry {
-                        event_id: event.id,
-                        uuid: event.uuid,
-                        base: self.scorer.base_score(event),
-                        anchor: DecayEngine::anchor(&state.ledger, event),
-                    });
+                    let entry = self.entry(&state.ledger, event);
+                    state.entries.push(entry);
                 });
                 state.rebuild_indexes();
                 let by_uuid = std::mem::take(&mut state.by_uuid);
@@ -296,38 +308,35 @@ impl DecayEngine {
                 state.entries.len()
             }
         };
-        state.synced_generation = Some(generation);
+        state.synced = Some((instance, generation));
         rebased
     }
 
-    /// Incremental rescore: consumes the store changelog to re-derive
-    /// bases only for events whose version moved since the previous
-    /// pass, then scores every tracked indicator in one dense walk.
-    /// Results come back in store-id order.
-    pub fn rescore(&self, store: &MispStore) -> (Vec<RescoredEvent>, RescoreSummary) {
+    /// The one scoring pass behind [`DecayEngine::rescore`] and
+    /// [`DecayEngine::sweep`]: syncs with the store, then decays every
+    /// tracked entry in one dense walk under the engine lock, handing
+    /// each entry, its score and its expiry verdict to `visit`.
+    /// Records the rescore metrics.
+    fn score_pass(
+        &self,
+        store: &MispStore,
+        mut visit: impl FnMut(&Entry, f64, bool),
+    ) -> RescoreSummary {
         let now = self.clock.now();
         let mut state = self.state.lock();
+        let rebased = self.sync(&mut state, store);
+        let scored = state.entries.len();
         let mut summary = RescoreSummary {
-            rebased: self.sync(&mut state, store),
-            ..RescoreSummary::default()
+            scored,
+            rebased,
+            reused: scored.saturating_sub(rebased),
+            expired: 0,
         };
-        summary.scored = state.entries.len();
-        summary.reused = summary.scored.saturating_sub(summary.rebased);
-
-        let mut out = Vec::with_capacity(state.entries.len());
         for entry in &state.entries {
             let score = self.decayed(entry.base, entry.anchor, now);
             let expired = self.model.is_expired(score);
-            if expired {
-                summary.expired += 1;
-            }
-            out.push(RescoredEvent {
-                event_id: entry.event_id,
-                uuid: entry.uuid,
-                base: entry.base,
-                score,
-                expired,
-            });
+            summary.expired += usize::from(expired);
+            visit(entry, score, expired);
         }
         drop(state);
 
@@ -338,6 +347,24 @@ impl DecayEngine {
             m.tracked.set(summary.scored as i64);
             m.expired_now.set(summary.expired as i64);
         }
+        summary
+    }
+
+    /// Incremental rescore: consumes the store changelog to re-derive
+    /// bases only for events whose version moved since the previous
+    /// pass, then scores every tracked indicator in one dense walk.
+    /// Results come back in store-id order.
+    pub fn rescore(&self, store: &MispStore) -> (Vec<RescoredEvent>, RescoreSummary) {
+        let mut out = Vec::new();
+        let summary = self.score_pass(store, |entry, score, expired| {
+            out.push(RescoredEvent {
+                event_id: entry.event_id,
+                uuid: entry.uuid,
+                base: entry.base,
+                score,
+                expired,
+            });
+        });
         (out, summary)
     }
 
@@ -371,33 +398,32 @@ impl DecayEngine {
     /// byte cache (share exporter, TAXII pages) drop the stale copy.
     /// Previously expired events whose score recovered (a sighting
     /// reset their clock) are re-tagged `active` and republished.
-    /// Untouched events are not written at all, so sweep cost tracks
-    /// the number of *flips*, not the store size.
+    ///
+    /// The store is touched only to sync the changelog and to write
+    /// the flips. Each tracked entry caches whether its event is marked
+    /// expired, so finding the flips is the same dense walk as a
+    /// rescore — one `score_at` and one compare per entry, with no
+    /// store lock, lookup or tag scan — and untouched events are not
+    /// written at all.
     pub fn sweep(&self, store: &MispStore) -> Result<SweepSummary, MispError> {
         let mut span = self
             .tracer
             .lock()
             .as_ref()
             .map(|t| t.root("decay", "decay_sweep"));
-        let (scores, rescore) = self.rescore(store);
+        let mut flips = Vec::new();
+        let rescore = self.score_pass(store, |entry, score, expired| {
+            if expired != entry.marked_expired {
+                flips.push((entry.event_id, score, expired));
+            }
+        });
         let mut summary = SweepSummary {
             rescore,
             ..SweepSummary::default()
         };
 
-        for rescored in &scores {
-            let marked_expired = store
-                .with_event(rescored.event_id, is_marked_expired)
-                .unwrap_or(false);
-            let flip = match (rescored.expired, marked_expired) {
-                (true, false) => Some(true),
-                (false, true) => Some(false),
-                _ => None,
-            };
-            let Some(to_expired) = flip else { continue };
-
-            let score = rescored.score;
-            store.update(rescored.event_id, move |event| {
+        for (event_id, score, to_expired) in flips {
+            store.update(event_id, move |event| {
                 event.tags.retain(|tag| {
                     !(tag.namespace() == Some(DECAY_TAG_NAMESPACE)
                         && matches!(
@@ -460,7 +486,9 @@ impl DecayEngine {
     }
 }
 
-fn is_marked_expired(event: &MispEvent) -> bool {
+/// Whether the event carries `cais:decay-state="expired"`: the
+/// lifecycle state a sweep last wrote, or a peer's merged copy carried.
+pub fn is_marked_expired(event: &MispEvent) -> bool {
     event.tags.iter().any(|tag| {
         tag.namespace() == Some(DECAY_TAG_NAMESPACE)
             && tag.predicate() == Some(DECAY_STATE_PREDICATE)
@@ -607,6 +635,26 @@ mod tests {
         assert_eq!(scores.len(), 1);
         // Internal maps shrank with the store.
         assert_eq!(engine.state.lock().entries.len(), 1);
+    }
+
+    #[test]
+    fn a_different_store_is_rebuilt_even_at_a_higher_generation() {
+        let (engine, clock) = engine_with_clock();
+        let first = store_with_events(3, &clock);
+        clock.advance_days(31);
+        assert_eq!(engine.sweep(&first).expect("sweep").flipped_expired, 3);
+
+        // Ids 1–3 exist in both stores and the second store's
+        // generation is past the first's, so its changelog alone would
+        // answer — with the first store's uuids, bases and expiry marks.
+        let second = store_with_events(10, &clock);
+        assert!(second.generation() > first.generation());
+        let summary = engine.sweep(&second).expect("sweep");
+        assert_eq!(summary.rescore.rebased, 10, "a new store is rebuilt");
+        assert_eq!(summary.flipped_expired + summary.flipped_active, 0);
+        let (incremental, _) = engine.rescore(&second);
+        assert_eq!(incremental, engine.score_from_scratch(&second));
+        second.for_each(|event| assert!(!is_marked_expired(event)));
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub mod model;
 pub mod taxonomy;
 
 pub use engine::{
-    DecayEngine, RescoreSummary, RescoredEvent, SweepSummary, DECAY_SCORE_PREDICATE,
-    DECAY_STATE_PREDICATE, DECAY_TAG_NAMESPACE,
+    is_marked_expired, DecayEngine, RescoreSummary, RescoredEvent, SweepSummary,
+    DECAY_SCORE_PREDICATE, DECAY_STATE_PREDICATE, DECAY_TAG_NAMESPACE,
 };
 pub use ledger::{SightingLedger, SightingRecord};
 pub use model::DecayModel;

@@ -1,15 +1,21 @@
 //! Property test for the decay engine's central contract: for **any**
-//! interleaving of sightings, store churn, expiry sweeps, inserts and
-//! clock advances, the incremental rescore (changelog-driven base
-//! reuse) must agree exactly with the from-scratch oracle that
-//! re-derives every base from the event's tags.
+//! interleaving of sightings, store churn, expiry sweeps, inserts,
+//! clock advances and outside writes of the lifecycle tag, the
+//! incremental rescore (changelog-driven base reuse) must agree
+//! exactly with the from-scratch oracle that re-derives every base
+//! from the event's tags, and every sweep must leave each event's
+//! stored decay state equal to the oracle's verdict, writing exactly
+//! the events whose state changed.
 
 use std::sync::Arc;
 
 use cais_common::resilience::{Clock, VirtualClock};
 use cais_common::time::MILLIS_PER_DAY;
 use cais_common::Timestamp;
-use cais_decay::{BaseScorer, DecayEngine, DecayModel};
+use cais_decay::{
+    is_marked_expired, BaseScorer, DecayEngine, DecayModel, DECAY_STATE_PREDICATE,
+    DECAY_TAG_NAMESPACE,
+};
 use cais_misp::{MispEvent, MispStore, Tag};
 use proptest::prelude::*;
 
@@ -27,11 +33,22 @@ fn seeded_event(i: usize, date: Timestamp) -> MispEvent {
     event
 }
 
+fn is_decay_state(tag: &Tag) -> bool {
+    tag.namespace() == Some(DECAY_TAG_NAMESPACE) && tag.predicate() == Some(DECAY_STATE_PREDICATE)
+}
+
+/// Each event's stored decay state, in id order.
+fn stored_expired(store: &MispStore) -> Vec<bool> {
+    let mut out = Vec::new();
+    store.for_each(|event| out.push(is_marked_expired(event)));
+    out
+}
+
 proptest! {
     #[test]
     fn incremental_rescore_matches_the_from_scratch_oracle(
         initial in 2usize..8,
-        ops in prop::collection::vec((0u8..5, 0usize..32, 1i64..9), 1..24),
+        ops in prop::collection::vec((0u8..6, 0usize..32, 1i64..9), 1..24),
     ) {
         let clock = VirtualClock::starting_at(Timestamp::from_unix_millis(
             40 * MILLIS_PER_DAY,
@@ -61,10 +78,43 @@ proptest! {
                 }
                 // Time passes.
                 2 => clock.advance_days(days),
-                // Expiry sweep: flips write back into the store.
+                // Expiry sweep: flips write back into the store, and
+                // exactly the events whose stored state changed.
                 3 => {
-                    engine.sweep(&store).unwrap();
+                    let before = stored_expired(&store);
+                    let summary = engine.sweep(&store).unwrap();
+                    let after = stored_expired(&store);
+                    let verdicts: Vec<bool> = engine
+                        .score_from_scratch(&store)
+                        .iter()
+                        .map(|scored| scored.expired)
+                        .collect();
+                    prop_assert_eq!(&after, &verdicts);
+                    let changed = |from: bool| {
+                        before
+                            .iter()
+                            .zip(&after)
+                            .filter(|&(&was, &now)| was == from && now != from)
+                            .count()
+                    };
+                    prop_assert_eq!(summary.flipped_expired, changed(false));
+                    prop_assert_eq!(summary.flipped_active, changed(true));
                 }
+                // An outside write of the lifecycle tag, as a peer's
+                // merged copy would make: strip it, or mark expired.
+                4 => store
+                    .update(id, |event| {
+                        if days % 2 == 0 {
+                            event.tags.retain(|tag| !is_decay_state(tag));
+                        } else {
+                            event.add_tag(Tag::machine(
+                                DECAY_TAG_NAMESPACE,
+                                DECAY_STATE_PREDICATE,
+                                "expired",
+                            ));
+                        }
+                    })
+                    .unwrap(),
                 // A new indicator arrives mid-stream.
                 _ => {
                     let id = store.insert(seeded_event(count, clock.now())).unwrap();

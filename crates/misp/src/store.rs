@@ -187,12 +187,19 @@ struct Stored {
     version: u64,
 }
 
+/// Source of [`MispStore::instance_id`]: one id per store built in
+/// this process.
+static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
+
 /// A thread-safe, indexed store of MISP events.
 ///
 /// Maintains secondary indexes by event UUID and by normalized attribute
 /// value (the correlation index).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MispStore {
+    /// Process-unique id, so a changelog consumer can tell this store
+    /// from another one whose generation happens to be comparable.
+    instance: u64,
     events: RwLock<HashMap<u64, Stored>>,
     by_uuid: RwLock<HashMap<Uuid, u64>>,
     by_value: RwLock<HashMap<String, Vec<u64>>>,
@@ -220,9 +227,27 @@ impl MispStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         MispStore {
+            instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
+            events: RwLock::default(),
+            by_uuid: RwLock::default(),
+            by_value: RwLock::default(),
+            sightings: RwLock::default(),
             next_id: AtomicU64::new(1),
-            ..MispStore::default()
+            generation: AtomicU64::new(0),
+            changes: RwLock::default(),
+            merge_lock: Mutex::new(()),
+            metrics: RwLock::new(None),
+            tracer: RwLock::new(None),
         }
+    }
+
+    /// This store's process-unique id, drawn at construction. A
+    /// changelog cursor is the pair `(instance_id, generation)`: two
+    /// stores can reach the same generation, so a consumer that
+    /// remembers only the generation would patch its state from the
+    /// wrong store's log instead of rebuilding.
+    pub fn instance_id(&self) -> u64 {
+        self.instance
     }
 
     /// Attaches telemetry: mutations record outcome-level counters
@@ -490,7 +515,9 @@ impl MispStore {
     /// log cannot answer — the generation is ahead of this store (it
     /// came from a different store) or the log and generation counter
     /// disagree mid-write — and the caller should fall back to a full
-    /// walk.
+    /// walk. A generation read from another store can also be *behind*
+    /// this one's, which this log cannot detect: key cursors on
+    /// [`MispStore::instance_id`] too.
     pub fn changed_event_ids_since(&self, generation: u64) -> Option<Vec<u64>> {
         let changes = self.changes.read();
         let current = self.generation();
@@ -763,6 +790,12 @@ impl MispStore {
     }
 }
 
+impl Default for MispStore {
+    fn default() -> Self {
+        MispStore::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -938,6 +971,15 @@ mod tests {
         // A generation the store never reached (another store's, or
         // the future) cannot be answered.
         assert_eq!(store.changed_event_ids_since(store.generation() + 1), None);
+    }
+
+    #[test]
+    fn every_store_has_its_own_instance_id() {
+        let a = MispStore::new();
+        let b = MispStore::default();
+        assert_ne!(a.instance_id(), b.instance_id());
+        // A defaulted store is a new one: ids start at 1.
+        assert_eq!(b.insert(event_with("b.example")).unwrap(), 1);
     }
 
     #[test]

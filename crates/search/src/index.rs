@@ -25,14 +25,13 @@
 //!
 //! Incrementality rides the store changelog exactly like the decay
 //! engine's rescorer: [`SearchIndex::sync`] remembers the store
-//! generation of its last pass and asks
+//! ([`MispStore::instance_id`]) and generation of its last pass and asks
 //! [`MispStore::changed_event_ids_since`] for just the events mutated
 //! since — each is re-tokenized in place (old postings edits are
 //! `O(tokens)` bit flips for dense tokens, `O(log posting)` inserts
 //! for sparse ones), so churn costs O(changed events). Only when the
-//! changelog cannot answer (first sync, or a generation from a
-//! different store) does it fall back to a full rebuild from a
-//! snapshot.
+//! changelog cannot answer (first sync, or a different store) does it
+//! fall back to a full rebuild from a snapshot.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -160,9 +159,10 @@ struct Slot {
 
 #[derive(Debug, Default)]
 struct IndexState {
-    /// Store generation of the last completed sync; `None` before the
-    /// first. The changelog cursor, exactly like the decay rescorer's.
-    synced_generation: Option<u64>,
+    /// `(store instance id, store generation)` of the last completed
+    /// sync; `None` before the first. The changelog cursor, exactly
+    /// like the decay rescorer's.
+    synced: Option<(u64, u64)>,
     slots: Vec<Slot>,
     by_id: HashMap<u64, u32>,
     /// Token text → interned id; postings are indexed by that id.
@@ -291,11 +291,12 @@ impl SearchIndex {
     /// otherwise (first sync, or a cursor from a different store).
     pub fn sync(&self, store: &MispStore) -> SyncSummary {
         let mut state = self.state.lock();
+        let instance = store.instance_id();
         let generation = store.generation();
-        let changed = match state.synced_generation {
-            Some(last) if last == generation => Some(Vec::new()),
-            Some(last) => store.changed_event_ids_since(last),
-            None => None,
+        let changed = match state.synced {
+            Some(last) if last == (instance, generation) => Some(Vec::new()),
+            Some((seen, last)) if seen == instance => store.changed_event_ids_since(last),
+            _ => None,
         };
         let summary = match changed {
             Some(ids) => {
@@ -308,7 +309,7 @@ impl SearchIndex {
                         Self::upsert(&mut state, versioned, &mut summary);
                     }
                 }
-                state.synced_generation = Some(generation);
+                state.synced = Some((instance, generation));
                 summary
             }
             None => {
@@ -321,7 +322,7 @@ impl SearchIndex {
                 for versioned in snapshot.iter() {
                     Self::upsert(&mut state, versioned.clone(), &mut summary);
                 }
-                state.synced_generation = Some(snapshot.generation());
+                state.synced = Some((instance, snapshot.generation()));
                 summary
             }
         };
@@ -341,7 +342,7 @@ impl SearchIndex {
     /// baseline the `search_json` bench compares incremental
     /// maintenance against.
     pub fn rebuild(&self, store: &MispStore) -> SyncSummary {
-        self.state.lock().synced_generation = None;
+        self.state.lock().synced = None;
         self.sync(store)
     }
 
@@ -674,7 +675,7 @@ impl std::fmt::Debug for SearchIndex {
         f.debug_struct("SearchIndex")
             .field("events", &state.slots.len())
             .field("tokens", &state.tokens.len())
-            .field("synced_generation", &state.synced_generation)
+            .field("synced", &state.synced)
             .finish()
     }
 }
@@ -736,6 +737,39 @@ mod tests {
         assert_eq!(ids(&hits), vec![a]);
         let hits = index.search(&Query::parse("value:203.0.113.9").unwrap());
         assert_eq!(ids(&hits), vec![b]);
+    }
+
+    #[test]
+    fn a_different_store_is_rebuilt_even_at_a_higher_generation() {
+        let first = MispStore::new();
+        for i in 0..3 {
+            first
+                .insert(event("first", "domain", &format!("first{i}.example")))
+                .unwrap();
+        }
+        let index = SearchIndex::new();
+        index.sync(&first);
+
+        // Ids 1–3 exist in both stores; the second store's generation
+        // is past the first's, so its changelog alone would answer.
+        let second = MispStore::new();
+        for i in 0..10 {
+            second
+                .insert(event("second", "domain", &format!("second{i}.example")))
+                .unwrap();
+        }
+        assert!(second.generation() > first.generation());
+        assert!(index.sync(&second).rebuilt);
+
+        let uuids =
+            |hits: Vec<VersionedEvent>| -> Vec<_> { hits.iter().map(|v| v.event.uuid).collect() };
+        assert_eq!(
+            uuids(index.search(&Query::All)),
+            uuids(second.search_linear(&SearchQuery::default()))
+        );
+        assert!(index
+            .search(&Query::parse("value:first0").unwrap())
+            .is_empty());
     }
 
     #[test]
