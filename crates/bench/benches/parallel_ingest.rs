@@ -1,17 +1,17 @@
-//! Sharded parallel ingestion vs the sequential path, on a 100k-record
-//! synthetic OSINT workload.
+//! One ingestion round with four workers vs one worker, on a
+//! 100k-record synthetic OSINT workload.
 //!
-//! The parallel path partitions dedup across shards, fans filter /
-//! enrich / payload-serialization work over scoped worker threads, and
-//! flushes bus announcements as per-topic batches; both paths produce
-//! identical reports and eIoC/rIoC sets (asserted once up front here,
-//! and continuously by `tests/scale.rs` and the pipeline test suite).
-//! The throughput gap therefore measures the sharding alone. Speedup
-//! scales with available cores: on a single-CPU host the two paths are
-//! expected to tie (the parallel path pays thread management for no
-//! extra compute), while ≥4 cores put the parallel path at a multiple
-//! of the sequential one, because everything but store insertion and
-//! batch flushing runs in the workers.
+//! With several workers the round partitions dedup across shards, fans
+//! filter / enrich / payload-serialization work over scoped worker
+//! threads, and flushes bus announcements as per-topic batches; with
+//! one it runs the same stages inline. Both produce identical reports
+//! and eIoC/rIoC lists (asserted once up front here, and continuously
+//! by `tests/scale.rs` and the pipeline test suite), so the throughput
+//! gap measures the fan-out alone. Speedup scales with available cores:
+//! on a single-CPU host the two are expected to tie (the workers pay
+//! thread management for no extra compute), while ≥4 cores put four
+//! workers at a multiple of one, because everything but store insertion
+//! and batch flushing runs in the workers.
 
 use cais_bench::workloads;
 use cais_core::Platform;

@@ -142,7 +142,9 @@ impl ShardedDeduplicator {
 
     /// Filters a batch with up to `workers` scoped threads, each owning
     /// a disjoint group of shards. Output order, kept set and
-    /// aggregated [`DedupStats`] are identical to [`filter_batch`].
+    /// aggregated [`DedupStats`] are identical to
+    /// [`filter_batch`](ShardedDeduplicator::filter_batch), which it
+    /// runs inline when `workers <= 1`.
     pub fn filter_batch_parallel(
         &mut self,
         records: Vec<FeedRecord>,

@@ -139,8 +139,8 @@ pub fn aggregate_into_ciocs(records: Vec<FeedRecord>, now: Timestamp) -> Vec<Com
 }
 
 /// The stateful OSINT collector: a persistent sharded deduplicator in
-/// front of the aggregator. Serial and parallel ingestion share the
-/// same dedup state, so mixing the two never re-admits a duplicate.
+/// front of the aggregator. Rounds of any worker count share the same
+/// dedup state, so mixing them never re-admits a duplicate.
 #[derive(Debug)]
 pub struct OsintCollector {
     dedup: ShardedDeduplicator,
@@ -169,27 +169,18 @@ impl OsintCollector {
     /// Ingests a batch of normalized feed records, returning the
     /// composed IoCs of the *new* (non-duplicate) ones.
     pub fn ingest(&mut self, records: Vec<FeedRecord>, now: Timestamp) -> Vec<ComposedIoc> {
-        let fresh = self.dedup_batch(records);
+        let fresh = self.dedup_batch(records, 1);
         if fresh.is_empty() {
             return Vec::new();
         }
         aggregate_into_ciocs(fresh, now)
     }
 
-    /// Runs only the deduplication stage, serially, keeping first
-    /// occurrences in input order.
-    pub fn dedup_batch(&mut self, records: Vec<FeedRecord>) -> Vec<FeedRecord> {
-        self.dedup.filter_batch(records)
-    }
-
-    /// Runs only the deduplication stage with up to `workers` scoped
-    /// threads over the shards; output is identical to
-    /// [`OsintCollector::dedup_batch`].
-    pub fn dedup_batch_parallel(
-        &mut self,
-        records: Vec<FeedRecord>,
-        workers: usize,
-    ) -> Vec<FeedRecord> {
+    /// Runs only the deduplication stage, keeping first occurrences in
+    /// input order. Up to `workers` scoped threads split the shards
+    /// between them; with `workers <= 1` it runs inline. The output is
+    /// the same for every worker count.
+    pub fn dedup_batch(&mut self, records: Vec<FeedRecord>, workers: usize) -> Vec<FeedRecord> {
         self.dedup.filter_batch_parallel(records, workers)
     }
 

@@ -301,44 +301,6 @@ pub fn attach_score(
     Ok(())
 }
 
-/// Persists an eIoC into the MISP instance: stores the cluster as an
-/// event (when not already stored), then attaches the threat score via
-/// [`attach_score`].
-///
-/// # Errors
-///
-/// Returns MISP validation errors.
-pub fn persist_enriched(api: &MispApi, eioc: &mut EnrichedIoc) -> Result<u64, CoreError> {
-    persist_enriched_traced(api, eioc, None)
-}
-
-/// [`persist_enriched`] continuing the caller's trace: the store's
-/// `store_insert` span becomes a child of `parent` (typically the
-/// ingestion round's span) instead of rooting a fresh trace.
-///
-/// # Errors
-///
-/// Returns MISP validation errors.
-pub fn persist_enriched_traced(
-    api: &MispApi,
-    eioc: &mut EnrichedIoc,
-    parent: Option<cais_telemetry::TraceContext>,
-) -> Result<u64, CoreError> {
-    let event_id = match eioc.misp_event_id {
-        Some(id) => id,
-        None => {
-            let event = cais_misp::import::event_from_records(
-                eioc.composed.summary(),
-                &eioc.composed.records,
-            );
-            api.add_event_with_trace(event, parent)?
-        }
-    };
-    attach_score(api, event_id, eioc.heuristic, &eioc.threat_score)?;
-    eioc.misp_event_id = Some(event_id);
-    Ok(event_id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,28 +398,5 @@ mod tests {
             ComposedIoc::new(ThreatCategory::CommandAndControl, stale_records, ctx.now);
         let stale = enricher.enrich(stale_cluster).score();
         assert!(fresh > stale, "{fresh} vs {stale}");
-    }
-
-    #[test]
-    fn persist_writes_score_and_criterion_tags() {
-        let ctx = EvaluationContext::paper_use_case();
-        let enricher = Enricher::new(ctx.clone());
-        let mut eioc = enricher.enrich(cve_cluster(&ctx));
-        let api = MispApi::new("CAIS");
-        let event_id = persist_enriched(&api, &mut eioc).unwrap();
-        assert_eq!(eioc.misp_event_id, Some(event_id));
-        let event = api.get_event(event_id).unwrap();
-        let stored_score = event.threat_score().expect("score attribute");
-        assert!((stored_score - eioc.score()).abs() < 1e-3);
-        // Per-criterion machine tags are present (future-work feature).
-        for predicate in ["relevance", "accuracy", "timeliness", "variety", "priority"] {
-            assert!(
-                event
-                    .tags
-                    .iter()
-                    .any(|t| t.namespace() == Some("cais") && t.predicate() == Some(predicate)),
-                "missing cais:{predicate} tag"
-            );
-        }
     }
 }

@@ -1,11 +1,16 @@
 //! Per-stage ingestion metrics.
 //!
-//! Every ingestion round — serial or sharded-parallel — reports how
-//! many records entered and left each pipeline stage and how long the
-//! stage took. The record counters are deterministic (the parallel
-//! path merges to the exact serial outcome); the wall times are not,
-//! which is why [`StageMetrics::same_counts`] compares everything
-//! *except* time.
+//! Every ingestion round reports how many records entered and left each
+//! pipeline stage and how long the stage took. The record counters are
+//! deterministic (every worker count merges to the same outcome); the
+//! wall times are not, which is why [`StageMetrics::same_counts`]
+//! compares everything *except* time.
+//!
+//! The stages time what the round does, not the paper's boxes one to
+//! one: `enrich` is the whole worker stage (scoring, MISP event build
+//! and validation, reduction, payload serialization), `reduce` only
+//! tallies the reductions already made, and `publish` covers the MISP
+//! inserts as well as the bus batches.
 
 use serde::{Deserialize, Serialize};
 
@@ -76,18 +81,22 @@ pub struct StageMetrics {
     pub dedup: StageRecord,
     /// Aggregation/correlation into cIoCs.
     pub compose: StageRecord,
-    /// Heuristic scoring (cIoC → eIoC).
+    /// The worker stage, cIoC → eIoC: heuristic scoring, building and
+    /// validating the MISP event, inventory reduction, and serializing
+    /// every bus payload.
     pub enrich: StageRecord,
-    /// Inventory reduction (eIoC → rIoC).
+    /// Reduction bookkeeping (eIoC → rIoC): tallies the reductions the
+    /// enrich stage made and records the rIoCs, in order.
     pub reduce: StageRecord,
-    /// Bus publication and MISP write-back.
+    /// MISP inserts and bus publication. Counts one message per cIoC,
+    /// eIoC and rIoC.
     pub publish: StageRecord,
 }
 
 impl StageMetrics {
     /// Whether two rounds processed identical record counts at every
-    /// stage (wall times, which legitimately differ between the serial
-    /// and parallel paths, are ignored).
+    /// stage (wall times, which legitimately differ between runs and
+    /// worker counts, are ignored).
     pub fn same_counts(&self, other: &StageMetrics) -> bool {
         self.filter.counts() == other.filter.counts()
             && self.dedup.counts() == other.dedup.counts()

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::collector::{aggregate_into_ciocs, InfrastructureCollector, OsintCollector};
 use crate::context::EvaluationContext;
-use crate::enrich::{persist_enriched_traced, Enricher};
+use crate::enrich::Enricher;
 use crate::error::CoreError;
 use crate::ioc::{ComposedIoc, EnrichedIoc, ReducedIoc};
 use crate::metrics::{StageMetrics, StageRecord};
@@ -31,6 +31,53 @@ use crate::telemetry::PipelineInstruments;
 
 fn nanos_since(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Maps `f(index, item)` over `items` in up to `workers` contiguous
+/// chunks on scoped threads, returning the results in input order. Runs
+/// inline, spawning no thread, when `workers <= 1` or there are fewer
+/// than two items.
+fn chunked_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T) -> R + Sync,
+{
+    if workers <= 1 || items.len() < 2 {
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(k, item)| f(k, item))
+            .collect();
+    }
+    let chunk_size = items.len().div_ceil(workers);
+    let mut items = items.into_iter().enumerate();
+    let mut chunks: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
+    loop {
+        let chunk: Vec<(usize, T)> = items.by_ref().take(chunk_size).collect();
+        if chunk.is_empty() {
+            break;
+        }
+        chunks.push(chunk);
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|chunk| {
+                scope.spawn(move || {
+                    chunk
+                        .into_iter()
+                        .map(|(k, item)| f(k, item))
+                        .collect::<Vec<R>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("ingest worker panicked"))
+            .collect()
+    })
 }
 
 /// Platform configuration.
@@ -89,9 +136,9 @@ pub struct PlatformReport {
 
 impl PlatformReport {
     /// Whether two rounds produced identical record counters at every
-    /// level — top-line and per-stage — ignoring wall times. This is
-    /// the determinism contract between [`Platform::ingest_feed_records`]
-    /// and [`Platform::ingest_feed_records_parallel`].
+    /// level — top-line and per-stage — ignoring wall times. Rounds over
+    /// the same input and state agree on these for every worker count
+    /// of [`Platform::ingest_feed_records_parallel`].
     pub fn same_counters(&self, other: &PlatformReport) -> bool {
         self.records_in == other.records_in
             && self.nlp_filtered == other.nlp_filtered
@@ -112,12 +159,13 @@ enum FilterDrop {
     Benign,
 }
 
-/// Everything a parallel worker precomputes for one cIoC: the scored
-/// eIoC, the MISP event in its final stored form (score attribute,
+/// Everything the enrich stage computes for one cIoC: the scored eIoC,
+/// the validated MISP event in its final stored form (score attribute,
 /// `cais:*` tags, published flag), the reduction outcome, and every
-/// serialized bus payload the sequential tail flushes in batches.
-/// Payloads are `None` only when serialization fails, mirroring the
-/// sequential path's ignore-on-error publishes.
+/// serialized bus payload, each taken at the event state its topic
+/// announces. The round's tail only inserts the event and flushes the
+/// payloads in per-topic batches. A payload is `None` only when
+/// serialization fails, and that announcement is then skipped.
 struct PreparedIoc {
     eioc: EnrichedIoc,
     event: cais_misp::MispEvent,
@@ -296,36 +344,87 @@ impl Platform {
         updated
     }
 
-    /// Runs one OSINT ingestion round: dedup → aggregate/correlate →
-    /// store in MISP → heuristic analysis → eIoC write-back →
-    /// reduction → dashboard publication.
+    /// Runs one OSINT ingestion round inline, on the calling thread:
+    /// [`Platform::ingest_feed_records_parallel`] with one worker.
     ///
     /// # Errors
     ///
-    /// Returns MISP persistence errors; scoring itself cannot fail.
+    /// Returns MISP validation errors, leaving the store and the bus
+    /// untouched (see [`Platform::ingest_feed_records_parallel`]).
     pub fn ingest_feed_records(
         &mut self,
         records: Vec<FeedRecord>,
     ) -> Result<PlatformReport, CoreError> {
-        self.ingest_feed_records_traced(records, None)
+        self.ingest_round(records, 1, None)
     }
 
-    /// [`Platform::ingest_feed_records`] continuing the caller's trace:
-    /// the round's `ingest_round` span becomes a child of `parent`
-    /// (typically an `ingress`/`feed_poll` span) instead of rooting a
-    /// fresh trace, and every store insert and bus publish of the round
-    /// chains beneath it.
+    /// Runs one OSINT ingestion round — filter → dedup → compose →
+    /// enrich → store in MISP → reduce → publish — with the per-record
+    /// work fanned out over up to `workers` scoped threads. With
+    /// `workers <= 1` (or fewer than two items in a stage) the stage
+    /// runs inline and no thread is spawned.
+    ///
+    /// * **filter** — records split into contiguous chunks, each chunk
+    ///   classified by one worker, results merged in input order;
+    /// * **dedup** — records hash-partitioned on
+    ///   [`FeedRecord::dedup_key`] across the collector's shards, one
+    ///   worker per shard group (no cross-shard locking), kept records
+    ///   merged back into input order;
+    /// * **compose** — inherently global (correlation crosses records),
+    ///   so it runs on the calling thread;
+    /// * **enrich** — cIoCs split into contiguous chunks; each worker
+    ///   scores its chunk, builds each MISP event in its final stored
+    ///   form under an id pre-assigned from the store's counter,
+    ///   validates its attributes, reduces against the inventory, and
+    ///   serializes every bus payload (all pure or read-only over
+    ///   shared context);
+    /// * **store + publish** — on the calling thread: events are
+    ///   inserted once each, in composed order (so the store assigns
+    ///   exactly the pre-assigned ids), and each topic's announcements
+    ///   flush as one [`Broker::publish_batch`], grouped by stage.
+    ///
+    /// Every stage merges deterministically, so the worker count changes
+    /// only wall time: over the same input and state, every `workers`
+    /// yields the same eIoCs and rIoCs in order, the same MISP event
+    /// ids, versions and contents (apart from each event's fresh UUID
+    /// and wall-clock timestamps), the same store generation, the same
+    /// [`PlatformReport`] counters, and the same number of messages on
+    /// each bus topic, in the same per-topic order.
     ///
     /// # Errors
     ///
-    /// Returns MISP persistence errors; scoring itself cannot fail.
-    pub fn ingest_feed_records_traced(
+    /// Returns the first MISP validation error in composed order. Every
+    /// event is validated in the enrich stage, before the round's first
+    /// store insert or bus publish, so a failed round stores, announces
+    /// and records no eIoC or rIoC.
+    pub fn ingest_feed_records_parallel(
         &mut self,
         records: Vec<FeedRecord>,
+        workers: usize,
+    ) -> Result<PlatformReport, CoreError> {
+        self.ingest_round(records, workers, None)
+    }
+
+    /// The one ingestion round behind every entry point (see
+    /// [`Platform::ingest_feed_records_parallel`]). The round's
+    /// `ingest_round` span becomes a child of `parent` (typically an
+    /// `ingress`/`feed_poll` span) instead of rooting a fresh trace, and
+    /// every store insert and bus publish of the round chains beneath
+    /// it.
+    ///
+    /// A round that fails leaves the store, the bus and the
+    /// eIoC/rIoC lists as they were, but the dedup and feed-quality
+    /// state have already taken in the round's records: offered again,
+    /// they are dropped as duplicates.
+    fn ingest_round(
+        &mut self,
+        records: Vec<FeedRecord>,
+        workers: usize,
         parent: Option<TraceContext>,
     ) -> Result<PlatformReport, CoreError> {
+        let workers = workers.max(1);
         let mut span = self.tracer.child_of(parent, "pipeline", "ingest_round");
-        span.field("path", "serial");
+        span.field("workers", workers);
         span.field("records_in", records.len());
         let round = span.sampled().then(|| span.context());
         let mut report = PlatformReport {
@@ -337,146 +436,25 @@ impl Platform {
         // Filter stage: NLP relevance, then warninglists.
         let started = Instant::now();
         let before = records.len();
-        let mut records = records;
-        records.retain(|record| match self.filter_verdict(record) {
-            None => true,
-            Some(FilterDrop::Irrelevant) => {
-                report.nlp_filtered += 1;
-                false
+        let records = if self.config.nlp_relevance_filter || self.config.warninglist_filter {
+            let verdicts = chunked_map(records, workers, |_, record| {
+                match self.filter_verdict(&record) {
+                    None => Ok(record),
+                    Some(drop) => Err(drop),
+                }
+            });
+            let mut kept = Vec::with_capacity(verdicts.len());
+            for verdict in verdicts {
+                match verdict {
+                    Ok(record) => kept.push(record),
+                    Err(FilterDrop::Irrelevant) => report.nlp_filtered += 1,
+                    Err(FilterDrop::Benign) => report.benign_filtered += 1,
+                }
             }
-            Some(FilterDrop::Benign) => {
-                report.benign_filtered += 1;
-                false
-            }
-        });
-        stages.filter = StageRecord::timed(before, records.len(), nanos_since(started));
-
-        self.quality.record_batch(&records, self.ctx.now);
-
-        // Dedup stage.
-        let started = Instant::now();
-        let before = records.len();
-        let dropped_before = self.osint.dedup_stats().dropped;
-        let fresh = self.osint.dedup_batch(records);
-        report.duplicates_dropped = self.osint.dedup_stats().dropped - dropped_before;
-        stages.dedup = StageRecord::timed(before, fresh.len(), nanos_since(started));
-
-        // Compose stage: aggregation + correlation into cIoCs.
-        let started = Instant::now();
-        let before = fresh.len();
-        let ciocs = if fresh.is_empty() {
-            Vec::new()
+            kept
         } else {
-            aggregate_into_ciocs(fresh, self.ctx.now)
+            records
         };
-        report.ciocs = ciocs.len();
-        stages.compose = StageRecord::timed(before, ciocs.len(), nanos_since(started));
-
-        for cioc in ciocs {
-            let started = Instant::now();
-            if let Ok(payload) = serde_json::to_value(&cioc) {
-                let _ =
-                    self.broker
-                        .publish_traced(Topic::new(topics::CIOC_RECEIVED), payload, round);
-            }
-            stages.publish.records_in += 1;
-            stages.publish.records_out += 1;
-            stages.publish.wall_nanos += nanos_since(started);
-
-            let started = Instant::now();
-            let eioc = self.enricher.enrich(cioc);
-            stages.enrich.records_in += 1;
-            stages.enrich.records_out += 1;
-            stages.enrich.wall_nanos += nanos_since(started);
-
-            self.finalize_eioc(eioc, &mut report, &mut stages, round)?;
-        }
-        report.stages = stages;
-        span.field("riocs", report.riocs);
-        self.instruments.record_round(&report);
-        self.instruments.record_reduce_caches(&self.reducer.stats());
-        self.broker.sample_queue_depths();
-        Ok(report)
-    }
-
-    /// The parallel ingestion path: the same stages, same outcome, but
-    /// the per-record work fanned out over up to `workers` scoped
-    /// threads.
-    ///
-    /// * **filter** — records split into contiguous chunks, each chunk
-    ///   classified by one worker, results merged in chunk order;
-    /// * **dedup** — records hash-partitioned on
-    ///   [`FeedRecord::dedup_key`] across the collector's shards, one
-    ///   worker per shard group (no cross-shard locking), kept records
-    ///   merged back into input order;
-    /// * **compose** — inherently global (correlation crosses records),
-    ///   so it stays sequential;
-    /// * **enrich + prepare** — cIoCs split into contiguous chunks;
-    ///   each worker scores its chunk, builds the MISP event under an
-    ///   id pre-assigned from the store's counter, reduces against the
-    ///   inventory, and serializes every bus payload (all of this is
-    ///   pure or read-only over shared context);
-    /// * **persist + publish** — sequential: events are inserted in
-    ///   composed order (so the store assigns exactly the pre-assigned
-    ///   ids), then each topic's announcements flush as one
-    ///   [`Broker::publish_batch`].
-    ///
-    /// Because every parallel stage merges deterministically (shard
-    /// partitioning preserves first-occurrence semantics; chunked
-    /// stages reassemble in input order), the produced eIoCs, rIoCs,
-    /// MISP event ids/contents and [`PlatformReport`] counters are
-    /// identical to [`Platform::ingest_feed_records`] over the same
-    /// input and state. Bus traffic carries the same messages in the
-    /// same per-topic order, but grouped by stage rather than
-    /// interleaved per eIoC, and store-modification timestamps may
-    /// differ by the batching delay.
-    ///
-    /// # Errors
-    ///
-    /// Returns MISP persistence errors. Unlike the serial path, the
-    /// round's cIoC announcements precede all persistence, so on a
-    /// mid-batch error more cIoC announcements may already be out.
-    pub fn ingest_feed_records_parallel(
-        &mut self,
-        records: Vec<FeedRecord>,
-        workers: usize,
-    ) -> Result<PlatformReport, CoreError> {
-        self.ingest_feed_records_parallel_traced(records, workers, None)
-    }
-
-    /// [`Platform::ingest_feed_records_parallel`] continuing the
-    /// caller's trace — see [`Platform::ingest_feed_records_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Returns MISP persistence errors.
-    pub fn ingest_feed_records_parallel_traced(
-        &mut self,
-        records: Vec<FeedRecord>,
-        workers: usize,
-        parent: Option<TraceContext>,
-    ) -> Result<PlatformReport, CoreError> {
-        let workers = workers.max(1);
-        if workers == 1 || records.len() < 2 {
-            return self.ingest_feed_records_traced(records, parent);
-        }
-        let mut span = self.tracer.child_of(parent, "pipeline", "ingest_round");
-        span.field("path", "parallel");
-        span.field("workers", workers);
-        span.field("records_in", records.len());
-        let round = span.sampled().then(|| span.context());
-        let mut report = PlatformReport {
-            records_in: records.len(),
-            ..PlatformReport::default()
-        };
-        let mut stages = StageMetrics::default();
-
-        // Filter stage, chunked across workers.
-        let started = Instant::now();
-        let before = records.len();
-        let (records, nlp_dropped, benign_dropped) = self.filter_records_parallel(records, workers);
-        report.nlp_filtered = nlp_dropped;
-        report.benign_filtered = benign_dropped;
         stages.filter = StageRecord::timed(before, records.len(), nanos_since(started));
 
         self.quality.record_batch(&records, self.ctx.now);
@@ -485,12 +463,13 @@ impl Platform {
         let started = Instant::now();
         let before = records.len();
         let dropped_before = self.osint.dedup_stats().dropped;
-        let fresh = self.osint.dedup_batch_parallel(records, workers);
+        let fresh = self.osint.dedup_batch(records, workers);
         report.duplicates_dropped = self.osint.dedup_stats().dropped - dropped_before;
         stages.dedup = StageRecord::timed(before, fresh.len(), nanos_since(started));
 
-        // Compose stage, sequential: correlation links arbitrary record
-        // pairs, so it cannot be partitioned without changing clusters.
+        // Compose stage, on this thread: correlation links arbitrary
+        // record pairs, so it cannot be partitioned without changing
+        // clusters.
         let started = Instant::now();
         let before = fresh.len();
         let ciocs = if fresh.is_empty() {
@@ -501,14 +480,19 @@ impl Platform {
         report.ciocs = ciocs.len();
         stages.compose = StageRecord::timed(before, ciocs.len(), nanos_since(started));
 
-        // Enrich + prepare stage, chunked across workers, merged in
-        // chunk order: each worker scores its cIoCs, builds the MISP
-        // event under its pre-assigned id, reduces against the
-        // inventory, and serializes every announcement payload — all
-        // pure work lifted off the sequential tail.
+        // Enrich stage, chunked across workers, merged in composed
+        // order. Event ids are pre-assigned from the store's counter,
+        // which is exact because the inserts below are this round's
+        // only ones and run in the same order. The first invalid event
+        // fails the round before anything is stored or announced.
         let started = Instant::now();
         let before = ciocs.len();
-        let prepared = self.prepare_parallel(ciocs, workers);
+        let base_id = self.misp.store().peek_next_id();
+        let prepared = chunked_map(ciocs, workers, |k, cioc| {
+            self.prepare_one(cioc, base_id + k as u64)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         let eioc_count = prepared.len();
         stages.enrich = StageRecord::timed(before, eioc_count, nanos_since(started));
 
@@ -537,9 +521,9 @@ impl Platform {
         stages.publish.records_out += eioc_count;
         stages.publish.wall_nanos += nanos_since(started);
 
-        // Persist: inserts stay sequential so the store assigns exactly
-        // the ids the workers serialized; the created/updated/published
-        // announcements then flush as per-topic batches.
+        // Store: each event is inserted once, in its final form; the
+        // created/updated/published announcements then flush as
+        // per-topic batches.
         let started = Instant::now();
         for event in events {
             let expected = event.id;
@@ -568,7 +552,8 @@ impl Platform {
         report.eiocs = eioc_count;
 
         // Reduce bookkeeping: the reductions themselves ran in the
-        // workers; this just tallies them and keeps eIoC/rIoC order.
+        // enrich stage; this just tallies them and keeps eIoC/rIoC
+        // order.
         let started = Instant::now();
         let mut rioc_payloads = Vec::new();
         for (eioc, rioc, rioc_payload) in outcomes {
@@ -601,8 +586,8 @@ impl Platform {
         Ok(report)
     }
 
-    /// Per-record filter decision shared by the serial and parallel
-    /// paths: NLP relevance first, warninglists second.
+    /// Per-record filter decision: NLP relevance first, warninglists
+    /// second.
     fn filter_verdict(&self, record: &FeedRecord) -> Option<FilterDrop> {
         if self.config.nlp_relevance_filter {
             if let Some(description) = &record.description {
@@ -619,70 +604,16 @@ impl Platform {
         None
     }
 
-    /// Runs the filter stage over contiguous chunks with scoped
-    /// threads, merging kept records in chunk order (= input order).
-    fn filter_records_parallel(
-        &self,
-        records: Vec<FeedRecord>,
-        workers: usize,
-    ) -> (Vec<FeedRecord>, usize, usize) {
-        if !self.config.nlp_relevance_filter && !self.config.warninglist_filter {
-            return (records, 0, 0);
-        }
-        let chunk_size = records.len().div_ceil(workers).max(1);
-        let mut chunks: Vec<Vec<FeedRecord>> = Vec::new();
-        let mut records = records.into_iter();
-        loop {
-            let chunk: Vec<FeedRecord> = records.by_ref().take(chunk_size).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            chunks.push(chunk);
-        }
-        let this = self;
-        let results: Vec<(Vec<FeedRecord>, usize, usize)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|mut chunk| {
-                    scope.spawn(move || {
-                        let mut nlp_dropped = 0;
-                        let mut benign_dropped = 0;
-                        chunk.retain(|record| match this.filter_verdict(record) {
-                            None => true,
-                            Some(FilterDrop::Irrelevant) => {
-                                nlp_dropped += 1;
-                                false
-                            }
-                            Some(FilterDrop::Benign) => {
-                                benign_dropped += 1;
-                                false
-                            }
-                        });
-                        (chunk, nlp_dropped, benign_dropped)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("filter worker panicked"))
-                .collect()
-        });
-        let mut kept = Vec::new();
-        let mut nlp_dropped = 0;
-        let mut benign_dropped = 0;
-        for (chunk, nlp, benign) in results {
-            kept.extend(chunk);
-            nlp_dropped += nlp;
-            benign_dropped += benign;
-        }
-        (kept, nlp_dropped, benign_dropped)
-    }
-
-    /// The per-cIoC work that needs no store access, fused so worker
-    /// threads can run it end to end: enrich, build the MISP event
-    /// under its pre-assigned id, reduce against the inventory, and
-    /// serialize every bus payload the sequential tail will flush.
-    fn prepare_one(&self, cioc: ComposedIoc, event_id: u64) -> PreparedIoc {
+    /// The per-cIoC work that needs no store access, fused so a worker
+    /// can run it end to end: enrich, build the MISP event under its
+    /// pre-assigned id, validate its attributes as the store will,
+    /// reduce against the inventory, and serialize every bus payload
+    /// the round's tail will flush.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first attribute the store would reject.
+    fn prepare_one(&self, cioc: ComposedIoc, event_id: u64) -> Result<PreparedIoc, CoreError> {
         let mut eioc = self.enricher.enrich(cioc);
         let cioc_payload = serde_json::to_value(&eioc.composed).ok();
         let mut event =
@@ -697,6 +628,9 @@ impl Platform {
         for tag in crate::enrich::score_tags(eioc.heuristic, &eioc.threat_score) {
             event.add_tag(tag);
         }
+        for attribute in &event.attributes {
+            attribute.validate()?;
+        }
         let updated_payload = serde_json::to_value(&event).ok();
         let published_payload = if self.config.publish_enriched {
             event.published = true;
@@ -708,7 +642,7 @@ impl Platform {
         let eioc_payload = serde_json::to_value(&eioc).ok();
         let rioc = self.reducer.reduce(&eioc);
         let rioc_payload = rioc.as_ref().and_then(|r| serde_json::to_value(r).ok());
-        PreparedIoc {
+        Ok(PreparedIoc {
             eioc,
             event,
             cioc_payload,
@@ -718,107 +652,7 @@ impl Platform {
             eioc_payload,
             rioc,
             rioc_payload,
-        }
-    }
-
-    /// Runs [`Platform::prepare_one`] over cIoC chunks concurrently,
-    /// merging results in chunk order (= composed order). Event ids are
-    /// pre-assigned from [`cais_misp::MispStore::peek_next_id`], which
-    /// is exact because this pipeline is the only inserter and performs
-    /// the inserts sequentially afterwards.
-    fn prepare_parallel(&self, ciocs: Vec<ComposedIoc>, workers: usize) -> Vec<PreparedIoc> {
-        let base_id = self.misp.store().peek_next_id();
-        if ciocs.len() < 2 {
-            return ciocs
-                .into_iter()
-                .enumerate()
-                .map(|(k, cioc)| self.prepare_one(cioc, base_id + k as u64))
-                .collect();
-        }
-        let chunk_size = ciocs.len().div_ceil(workers).max(1);
-        let mut chunks: Vec<(usize, Vec<ComposedIoc>)> = Vec::new();
-        let mut offset = 0;
-        let mut ciocs = ciocs.into_iter();
-        loop {
-            let chunk: Vec<ComposedIoc> = ciocs.by_ref().take(chunk_size).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            let len = chunk.len();
-            chunks.push((offset, chunk));
-            offset += len;
-        }
-        let this = self;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|(offset, chunk)| {
-                    scope.spawn(move || {
-                        chunk
-                            .into_iter()
-                            .enumerate()
-                            .map(|(k, cioc)| this.prepare_one(cioc, base_id + (offset + k) as u64))
-                            .collect::<Vec<PreparedIoc>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| handle.join().expect("prepare worker panicked"))
-                .collect()
         })
-    }
-
-    /// The sequential tail every eIoC goes through regardless of path:
-    /// MISP persistence and publication, the EIOC_READY announcement,
-    /// reduction, and the RIOC_PUBLISHED announcement on a match.
-    fn finalize_eioc(
-        &mut self,
-        mut eioc: EnrichedIoc,
-        report: &mut PlatformReport,
-        stages: &mut StageMetrics,
-        round: Option<TraceContext>,
-    ) -> Result<(), CoreError> {
-        let started = Instant::now();
-        let event_id = persist_enriched_traced(&self.misp, &mut eioc, round)?;
-        if self.config.publish_enriched {
-            self.misp.publish_event(event_id)?;
-        }
-        if let Ok(payload) = serde_json::to_value(&eioc) {
-            let _ = self
-                .broker
-                .publish_traced(Topic::new(topics::EIOC_READY), payload, round);
-        }
-        stages.publish.records_in += 1;
-        stages.publish.records_out += 1;
-        stages.publish.wall_nanos += nanos_since(started);
-        report.eiocs += 1;
-
-        let started = Instant::now();
-        let rioc = self.reducer.reduce(&eioc);
-        stages.reduce.records_in += 1;
-        stages.reduce.wall_nanos += nanos_since(started);
-        match rioc {
-            Some(rioc) => {
-                stages.reduce.records_out += 1;
-                let started = Instant::now();
-                if let Ok(payload) = serde_json::to_value(&rioc) {
-                    let _ = self.broker.publish_traced(
-                        Topic::new(topics::RIOC_PUBLISHED),
-                        payload,
-                        round,
-                    );
-                }
-                stages.publish.records_in += 1;
-                stages.publish.records_out += 1;
-                stages.publish.wall_nanos += nanos_since(started);
-                self.riocs.push(rioc);
-                report.riocs += 1;
-            }
-            None => stages.reduce.dropped += 1,
-        }
-        self.eiocs.push(eioc);
-        Ok(())
     }
 
     /// Ingests a STIX 2.0 bundle from a sharing partner: every object a
@@ -944,14 +778,15 @@ impl Platform {
     ///
     /// Collection is strictly ordered and ingestion happens in a single
     /// round, so with the same sources in the same states the produced
-    /// rIoCs are identical whether `workers` selects the serial or the
-    /// parallel pipeline, and identical to a fault-free run of the
-    /// surviving sources: a faulted source degrades the round's *inputs*
-    /// (its batch is absent) but never the determinism of the outputs.
+    /// rIoCs are identical for every `workers` (see
+    /// [`Platform::ingest_feed_records_parallel`]) and identical to a
+    /// fault-free run of the surviving sources: a faulted source
+    /// degrades the round's *inputs* (its batch is absent) but never
+    /// the determinism of the outputs.
     ///
     /// # Errors
     ///
-    /// Returns MISP persistence errors from the ingestion round; source
+    /// Returns MISP validation errors from the ingestion round; source
     /// failures are *not* errors — they are counted in the report and
     /// the round proceeds with the records that did arrive.
     pub fn ingest_from_sources(
@@ -1000,11 +835,7 @@ impl Platform {
         span.field("delivered", outcome.delivered);
         span.field("failed", outcome.failed);
         span.field("quarantined", outcome.quarantined);
-        outcome.report = if workers <= 1 {
-            self.ingest_feed_records_traced(records, ingress)?
-        } else {
-            self.ingest_feed_records_parallel_traced(records, workers, ingress)?
-        };
+        outcome.report = self.ingest_round(records, workers, ingress)?;
         Ok(outcome)
     }
 }
@@ -1419,7 +1250,7 @@ mod parallel_tests {
             )
         };
         platform.ingest_feed_records(vec![record()]).unwrap();
-        // The same record through the parallel path is a duplicate.
+        // The same record in a four-worker round is a duplicate.
         let report = platform
             .ingest_feed_records_parallel(vec![record(), record()], 4)
             .unwrap();
@@ -1500,10 +1331,7 @@ mod parallel_tests {
         let round = &spans[0];
         assert_eq!(round.name, "ingest_round");
         assert!(round.duration_nanos.is_some());
-        assert!(round
-            .fields
-            .iter()
-            .any(|(k, v)| k == "path" && v == "parallel"));
+        assert!(round.fields.iter().any(|(k, v)| k == "workers" && v == "4"));
         // The round's store inserts and bus publishes chain beneath it.
         let stores = platform.tracer().snapshot_subsystem("store");
         assert!(!stores.is_empty());
@@ -1544,12 +1372,95 @@ mod parallel_tests {
     }
 
     #[test]
-    fn single_worker_falls_back_to_sequential() {
+    fn single_worker_round_writes_each_event_once() {
+        for workers in [0, 1] {
+            let mut platform = Platform::paper_use_case();
+            let records = mixed_workload(&platform, 40);
+            let report = platform
+                .ingest_feed_records_parallel(records, workers)
+                .unwrap();
+            assert_eq!(report.records_in, 40);
+            assert!(report.ciocs > 0);
+            let store = platform.misp().store();
+            assert_eq!(store.len(), report.eiocs);
+            assert_eq!(store.generation(), report.eiocs as u64, "{workers} workers");
+            for eioc in platform.eiocs() {
+                let id = eioc.misp_event_id.unwrap();
+                assert_eq!(store.event_version(id), Some(0), "{workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn stored_event_carries_score_and_criterion_tags() {
         let mut platform = Platform::paper_use_case();
-        let records = mixed_workload(&platform, 40);
-        let report = platform.ingest_feed_records_parallel(records, 1).unwrap();
-        assert_eq!(report.records_in, 40);
-        assert!(report.ciocs > 0);
+        let now = platform.context().now;
+        let record = FeedRecord::new(
+            Observable::new(ObservableKind::Cve, "CVE-2017-9805"),
+            ThreatCategory::VulnerabilityExploitation,
+            "nvd-feed",
+            now.add_days(-200),
+        )
+        .with_cve("CVE-2017-9805")
+        .with_description("struts RCE observed");
+        platform.ingest_feed_records(vec![record]).unwrap();
+        let eioc = &platform.eiocs()[0];
+        let event = platform
+            .misp()
+            .get_event(eioc.misp_event_id.unwrap())
+            .unwrap();
+        let stored_score = event.threat_score().expect("score attribute");
+        assert!((stored_score - eioc.score()).abs() < 1e-3);
+        // Per-criterion machine tags are present (future-work feature).
+        for predicate in ["relevance", "accuracy", "timeliness", "variety", "priority"] {
+            assert!(
+                event
+                    .tags
+                    .iter()
+                    .any(|t| t.namespace() == Some("cais") && t.predicate() == Some(predicate)),
+                "missing cais:{predicate} tag"
+            );
+        }
+    }
+
+    #[test]
+    fn failed_round_leaves_no_partial_state() {
+        for workers in [1, 4] {
+            let mut platform = Platform::paper_use_case();
+            let all = platform.broker().subscribe("#");
+            platform
+                .ingest_feed_records_parallel(mixed_workload(&platform, 40), workers)
+                .unwrap();
+            assert!(!all.drain().is_empty());
+            let store = platform.misp().store();
+            let (len, generation) = (store.len(), store.generation());
+            let eiocs = platform.eiocs().to_vec();
+            let riocs = platform.riocs().to_vec();
+
+            let now = platform.context().now;
+            let mut records: Vec<FeedRecord> = (0..6)
+                .map(|i| {
+                    FeedRecord::new(
+                        Observable::new(ObservableKind::Domain, format!("bad-{i}.example")),
+                        ThreatCategory::MalwareDomain,
+                        format!("feed-{i}"),
+                        now,
+                    )
+                })
+                .collect();
+            records[3] = records[3].clone().with_cve("NOT-A-CVE");
+            assert!(platform
+                .ingest_feed_records_parallel(records, workers)
+                .is_err());
+
+            let store = platform.misp().store();
+            assert_eq!(store.len(), len, "{workers} workers");
+            assert_eq!(store.generation(), generation, "{workers} workers");
+            assert_eq!(platform.eiocs(), &eiocs[..], "{workers} workers");
+            assert_eq!(platform.riocs(), &riocs[..], "{workers} workers");
+            // No message on any topic.
+            assert!(all.drain().is_empty(), "{workers} workers");
+        }
     }
 }
 

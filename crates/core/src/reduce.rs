@@ -59,8 +59,9 @@ struct ReduceCache {
 
 /// A point-in-time snapshot of the reducer's cache effectiveness,
 /// surfaced as telemetry gauges (not counters: memo hit/miss splits
-/// depend on thread interleaving in the parallel path, so they are
-/// deliberately outside the serial==parallel determinism contract).
+/// depend on thread interleaving when a round has several workers, so
+/// they are deliberately outside the determinism contract across
+/// worker counts).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReduceCacheStats {
     /// CVE-record lookups answered from the memo.

@@ -10,10 +10,10 @@
 //!
 //! Counters carry only the deterministic part of a report (record
 //! counts); wall times go into per-stage histograms. That split is
-//! what lets the serial and parallel ingest paths — whose reports
-//! satisfy [`PlatformReport::same_counters`] — produce *identical*
-//! registry counters for the same input, a property the workspace
-//! tests enforce.
+//! what lets rounds of any worker count — whose reports satisfy
+//! [`PlatformReport::same_counters`] — produce *identical* registry
+//! counters for the same input, a property the workspace tests
+//! enforce.
 
 use cais_telemetry::{labeled, Counter, Gauge, Histogram, Registry};
 
@@ -68,10 +68,10 @@ pub struct PipelineInstruments {
 /// Gauges mirroring the reducer's cache-effectiveness snapshot.
 ///
 /// Gauges, not counters, on purpose: memo hit/miss splits depend on
-/// thread interleaving in the parallel ingest path (two workers can
-/// race to the same uncached candidate list), so they sit outside the
-/// serial==parallel counter-determinism contract the workspace tests
-/// enforce. Each round overwrites them with the latest snapshot.
+/// thread interleaving when a round has several workers (two can race
+/// to the same uncached candidate list), so they sit outside the
+/// counter-determinism contract across worker counts that the
+/// workspace tests enforce. Each round overwrites them with the latest snapshot.
 struct ReduceCacheInstruments {
     index_rebuilds: Gauge,
     cve_memo_hits: Gauge,

@@ -5,7 +5,7 @@
 //! embedded commas, doubled-quote escapes and CRLF line endings — the
 //! parts of RFC 4180 that occur in practice.
 
-use cais_common::{Observable, Timestamp};
+use cais_common::{Observable, ObservableKind, Timestamp};
 
 use crate::{FeedError, FeedRecord, ThreatCategory};
 
@@ -138,7 +138,9 @@ pub fn parse(
                 Role::Description if !field.trim().is_empty() => {
                     record.description = Some(field.trim().to_owned());
                 }
-                Role::Cve if !field.trim().is_empty() => {
+                // A malformed CVE would fail the whole round at MISP
+                // insert time, so only well-formed ids are kept.
+                Role::Cve if ObservableKind::detect(field) == Some(ObservableKind::Cve) => {
                     record.cve = Some(field.trim().to_ascii_uppercase());
                 }
                 Role::Tag if !field.trim().is_empty() => {
@@ -190,9 +192,12 @@ firstseen,indicator,malware,status
 
     #[test]
     fn cve_column_is_captured() {
-        let payload = "indicator,cve\nevil.example,cve-2017-9805\n";
+        let payload = "indicator,cve\nevil.example,cve-2017-9805\nbad.example,NOT-A-CVE\n";
         let records = parse(payload, "f", ThreatCategory::VulnerabilityExploitation).unwrap();
         assert_eq!(records[0].cve.as_deref(), Some("CVE-2017-9805"));
+        // A malformed id is dropped; the row itself is kept.
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].cve, None);
     }
 
     #[test]

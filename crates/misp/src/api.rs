@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use cais_bus::{Broker, Topic};
-use cais_telemetry::{Registry, TraceContext, Tracer};
+use cais_telemetry::{Registry, Tracer};
 
 use crate::attribute::MispAttribute;
 use crate::correlation::{correlate_event, Correlation};
@@ -102,25 +102,9 @@ impl MispApi {
     /// # Errors
     ///
     /// Returns validation errors from the store.
-    pub fn add_event(&self, event: MispEvent) -> Result<u64, MispError> {
-        self.add_event_with_trace(event, None)
-    }
-
-    /// [`MispApi::add_event`] recorded as a child of `parent` when a
-    /// tracer is attached — ingress seams (sync push, feed ingest) pass
-    /// their span here so the store mutation and bus announcement stay
-    /// in the caller's trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns validation errors from the store.
-    pub fn add_event_with_trace(
-        &self,
-        mut event: MispEvent,
-        parent: Option<TraceContext>,
-    ) -> Result<u64, MispError> {
+    pub fn add_event(&self, mut event: MispEvent) -> Result<u64, MispError> {
         event.org = self.org.clone();
-        let id = self.store.insert_with_trace(event, parent)?;
+        let id = self.store.insert(event)?;
         self.announce("misp.event.created", id);
         Ok(id)
     }

@@ -460,23 +460,29 @@ proptest! {
         prop_assert_eq!(platform.riocs(), baseline.riocs(), "seed={} workers={}", seed, workers);
     }
 
-    /// Serial and parallel ingestion of the same workload produce
-    /// identical telemetry counters — the observational-equivalence
-    /// guarantee of the sharded pipeline (see
-    /// `sharded_dedup_matches_sequential`), extended to the metrics
-    /// registry. Wall times and queue-depth gauges are sampled, so only
-    /// counters are compared.
+    /// A one-worker round and an N-worker round over the same workload
+    /// are indistinguishable apart from wall time: the same telemetry
+    /// counters (the observational-equivalence guarantee of the sharded
+    /// pipeline, see `sharded_dedup_matches_sequential`), the same store
+    /// generation and per-event versions, the same number of messages
+    /// on every bus topic, and the same eIoCs and rIoCs. Wall times and
+    /// queue-depth gauges are sampled, so only counters are compared.
     #[test]
-    fn serial_and_parallel_ingestion_share_telemetry_counters(
+    fn one_worker_and_n_worker_rounds_agree(
         values in prop::collection::vec("[a-d]{1,3}", 1..30),
-        workers in 1usize..5,
+        workers in 2usize..5,
     ) {
+        use std::collections::BTreeMap;
+
         use cais::common::{Observable, ObservableKind};
         use cais::core::Platform;
         use cais::feeds::{FeedRecord, ThreatCategory};
 
-        let records = |now: Timestamp| -> Vec<FeedRecord> {
-            values
+        let run = |workers: usize| {
+            let mut platform = Platform::paper_use_case();
+            let all = platform.broker().subscribe("#");
+            let now = platform.context().now;
+            let records: Vec<FeedRecord> = values
                 .iter()
                 .map(|v| {
                     FeedRecord::new(
@@ -486,22 +492,39 @@ proptest! {
                         now.add_days(-1),
                     )
                 })
-                .collect()
+                .collect();
+            let report = platform
+                .ingest_feed_records_parallel(records, workers)
+                .unwrap();
+            let mut per_topic = BTreeMap::new();
+            for message in all.drain() {
+                *per_topic.entry(message.topic.as_str().to_owned()).or_insert(0usize) += 1;
+            }
+            let store = platform.misp().store();
+            let versions: Vec<(u64, Option<u64>)> = platform
+                .eiocs()
+                .iter()
+                .map(|e| e.misp_event_id.unwrap())
+                .map(|id| (id, store.event_version(id)))
+                .collect();
+            let generation = store.generation();
+            (report, per_topic, versions, generation, platform)
         };
 
-        let mut serial = Platform::paper_use_case();
-        let serial_report = serial
-            .ingest_feed_records(records(serial.context().now))
-            .unwrap();
-        let mut parallel = Platform::paper_use_case();
-        let parallel_report = parallel
-            .ingest_feed_records_parallel(records(parallel.context().now), workers)
-            .unwrap();
+        let (one_report, one_topics, one_versions, one_generation, one) = run(1);
+        let (n_report, n_topics, n_versions, n_generation, n) = run(workers);
 
-        prop_assert_eq!(serial_report.ciocs, parallel_report.ciocs);
-        let serial_counters = serial.telemetry().snapshot().counters;
-        let parallel_counters = parallel.telemetry().snapshot().counters;
-        prop_assert_eq!(serial_counters, parallel_counters, "workers={}", workers);
+        prop_assert!(one_report.same_counters(&n_report), "workers={}", workers);
+        prop_assert_eq!(
+            one.telemetry().snapshot().counters,
+            n.telemetry().snapshot().counters,
+            "workers={}", workers
+        );
+        prop_assert_eq!(one_generation, n_generation, "workers={}", workers);
+        prop_assert_eq!(one_versions, n_versions, "workers={}", workers);
+        prop_assert_eq!(one_topics, n_topics, "workers={}", workers);
+        prop_assert_eq!(one.eiocs(), n.eiocs(), "workers={}", workers);
+        prop_assert_eq!(one.riocs(), n.riocs(), "workers={}", workers);
     }
 }
 

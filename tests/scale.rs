@@ -248,7 +248,7 @@ fn faulted_feeds_recover_and_match_fault_free_ingestion() {
 
     // Three of six feeds fail transiently (twice each, within the
     // default budget of 4 attempts): full recovery, identical output,
-    // serial == parallel.
+    // with one worker or four.
     for workers in [1usize, 4] {
         let mut plan = FaultPlan::new(7);
         for feed in [0, 2, 4] {
